@@ -279,14 +279,30 @@ pub fn recommend_batch_with<M: NextItemModel>(
     exclude_history: bool,
     retriever: Option<&Retriever>,
 ) -> Vec<Vec<Recommendation>> {
-    assert!(k >= 1, "k must be positive");
+    let ks = vec![k; histories.len()];
+    recommend_batch_per_k(model, histories, &ks, exclude_history, retriever)
+}
+
+/// [`recommend_batch_with`] with a separate `ks[i]` for each history: one
+/// encoder forward for the whole batch, then each row is ranked — and,
+/// under two-stage retrieval, shortlisted — at its own `k`. A row's result
+/// therefore never depends on which other rows share its batch.
+pub fn recommend_batch_per_k<M: NextItemModel>(
+    model: &M,
+    histories: &[&[usize]],
+    ks: &[usize],
+    exclude_history: bool,
+    retriever: Option<&Retriever>,
+) -> Vec<Vec<Recommendation>> {
+    assert_eq!(ks.len(), histories.len(), "one k per history");
+    assert!(ks.iter().all(|&k| k >= 1), "k must be positive");
     if histories.is_empty() {
         return Vec::new();
     }
     let mode = retriever.map(|r| (r.cfg.mode, r.cfg.quantize));
     let _span = slime_trace::span!("recommend", {
         "users": histories.len(),
-        "k": k,
+        "k": ks.iter().copied().max().unwrap_or(0),
         "mode": mode.map_or("dense", |(m, _)| m.as_str())
     });
     let n = model.max_len();
@@ -312,6 +328,7 @@ pub fn recommend_batch_with<M: NextItemModel>(
                 .iter()
                 .enumerate()
                 .map(|(row, history)| {
+                    let k = ks[row];
                     let query = &rv.data()[row * dim..(row + 1) * dim];
                     let need = k + if exclude_history { history.len() } else { 0 };
                     let mut cands = r.shortlist(query, need);
@@ -360,7 +377,7 @@ pub fn recommend_batch_with<M: NextItemModel>(
                     if let Some(s) = &mut seen {
                         s.set(history);
                     }
-                    let recs = select_top_k(&scores, seen.as_ref(), k);
+                    let recs = select_top_k(&scores, seen.as_ref(), ks[row]);
                     if let Some(s) = &mut seen {
                         s.clear(history);
                     }
@@ -386,7 +403,7 @@ pub fn recommend_batch_with<M: NextItemModel>(
                     if let Some(s) = &mut seen {
                         s.set(history);
                     }
-                    let recs = select_top_k(slice, seen.as_ref(), k);
+                    let recs = select_top_k(slice, seen.as_ref(), ks[row]);
                     if let Some(s) = &mut seen {
                         s.clear(history);
                     }

@@ -253,6 +253,7 @@ fn write_value(v: &Value, indent: Option<usize>, depth: usize, out: &mut String)
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,6 +262,7 @@ struct Parser<'a> {
 /// an error.
 pub fn parse(s: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -420,13 +422,22 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = s.chars().next().ok_or_else(|| JsonError("eof".into()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so they never sit inside a
+                    // multi-byte character and the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        if b == b'"' || b == b'\\' {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .src
+                        .get(start..self.pos)
+                        .ok_or_else(|| JsonError("invalid utf-8".into()))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -716,6 +727,20 @@ mod tests {
     #[test]
     fn surrogate_pairs_decode() {
         assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn keys_mix_multibyte_characters_and_escapes() {
+        // Runs of multi-byte characters on either side of escapes, in keys
+        // and values, with the escape first, last and in the middle.
+        let text = r#"{"día\n€": "ü\"😀\\", "\tkey日本": ["é", "xéy"], "😀": 1}"#;
+        let v = parse(text).unwrap();
+        assert_eq!(v.field("día\n€").unwrap().as_str(), Some("ü\"😀\\"));
+        let arr = v.field("\tkey日本").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some("é"));
+        assert_eq!(arr[1].as_str(), Some("xéy"));
+        assert!(v.field("😀").is_ok());
+        assert!(parse(r#"{"ü"#).is_err(), "unterminated key");
     }
 
     #[test]

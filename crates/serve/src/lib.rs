@@ -30,7 +30,7 @@ pub mod protocol;
 pub mod server;
 pub mod stats;
 
-use slime4rec::recommend::recommend_batch_with;
+use slime4rec::recommend::recommend_batch_per_k;
 use slime4rec::retrieval::Retriever;
 use slime4rec::NextItemModel;
 use slime_nn::TrainContext;
@@ -88,10 +88,9 @@ pub trait RecEngine {
 ///
 /// Gathered batches are heterogeneous: requests may disagree on `k` and
 /// on the exclude flag. The engine partitions by exclude (two forward
-/// passes at most), serves each partition at the partition's max `k`, and
-/// truncates per request — valid because the ranking order is total
-/// (score desc, item id asc), so the top-`k` of a top-`k_max` list *is*
-/// the top-`k`.
+/// passes at most) and ranks every request at its own `k` — under
+/// two-stage retrieval the shortlist width follows `k`, so serving a
+/// request at a batch-mate's larger `k` would change its reply.
 pub struct ModelEngine<M: NextItemModel> {
     model: M,
     retriever: Option<Retriever>,
@@ -123,21 +122,17 @@ impl<M: NextItemModel> ModelEngine<M> {
             return;
         }
         let exclude = reqs[idx[0]].exclude;
-        let k_max = idx.iter().map(|&i| reqs[i].k).max().unwrap_or(1);
+        let ks: Vec<usize> = idx.iter().map(|&i| reqs[i].k).collect();
         let histories: Vec<&[usize]> = idx.iter().map(|&i| reqs[i].history.as_slice()).collect();
-        let ranked = recommend_batch_with(
+        let ranked = recommend_batch_per_k(
             &self.model,
             &histories,
-            k_max,
+            &ks,
             exclude,
             self.retriever.as_ref(),
         );
         for (&i, recs) in idx.iter().zip(ranked) {
-            out[i] = recs
-                .into_iter()
-                .take(reqs[i].k)
-                .map(|r| (r.item as u32, r.score))
-                .collect();
+            out[i] = recs.into_iter().map(|r| (r.item as u32, r.score)).collect();
         }
     }
 }
@@ -167,6 +162,7 @@ impl<M: NextItemModel> RecEngine for ModelEngine<M> {
 mod tests {
     use super::*;
     use slime4rec::recommend::recommend_top_k_with;
+    use slime4rec::retrieval::RetrievalConfig;
     use slime4rec::{ContrastiveMode, Slime4Rec, SlimeConfig};
 
     fn tiny_model() -> Slime4Rec {
@@ -229,5 +225,62 @@ mod tests {
         let refs: Vec<&RecRequest> = reqs.iter().collect();
         let got = engine.recommend(&refs);
         assert_eq!(got, reference, "batched heterogeneous results must match");
+    }
+
+    #[test]
+    fn reply_does_not_depend_on_batch_mates_k() {
+        // Under two-stage retrieval the shortlist widens with k, so a k = 5
+        // request answered at k = 20 can see a different top 5. Batched
+        // with a k = 20 request it must still get its stand-alone reply.
+        let mut cfg = SlimeConfig::small(400);
+        cfg.hidden = 8;
+        cfg.max_len = 6;
+        cfg.layers = 1;
+        cfg.contrastive = ContrastiveMode::None;
+        let model = Slime4Rec::new(cfg);
+        let retrieval = RetrievalConfig {
+            cells: 40,
+            nprobe: 1,
+            iters: 2,
+            ..RetrievalConfig::default()
+        };
+        let retriever = Retriever::build(&model.item_emb.weight.value(), retrieval);
+        let histories: Vec<Vec<usize>> = (1..30usize)
+            .map(|s| (0..4).map(|j| s * 13 + j * 7).collect())
+            .collect();
+        // The top 5 of each history's k = 20 reply, as the engine used to
+        // answer a k = 5 request batched with a k = 20 one.
+        let wide_top5: Vec<Vec<(u32, f32)>> = histories
+            .iter()
+            .map(|h| {
+                recommend_top_k_with(&model, h, 20, false, Some(&retriever))
+                    .into_iter()
+                    .take(5)
+                    .map(|x| (x.item as u32, x.score))
+                    .collect()
+            })
+            .collect();
+        let mut engine = ModelEngine::new(model, Some(retriever));
+        let mut discriminating = 0;
+        for (i, (history, wide)) in histories.iter().zip(&wide_top5).enumerate() {
+            let small = RecRequest {
+                history: history.clone(),
+                k: 5,
+                exclude: false,
+            };
+            let big = RecRequest {
+                history: vec![i + 200],
+                k: 20,
+                exclude: false,
+            };
+            let alone = engine.recommend(&[&small]);
+            let batched = engine.recommend(&[&small, &big]);
+            assert_eq!(batched[0], alone[0], "history {history:?}");
+            discriminating += usize::from(*wide != alone[0]);
+        }
+        assert!(
+            discriminating > 0,
+            "no history where k = 20 changes the top 5; the check would pass vacuously"
+        );
     }
 }

@@ -133,6 +133,10 @@ mod tests {
     use super::*;
     use crate::ops::sum_all;
     use slime_rng::rngs::StdRng;
+
+    /// The fuse gate is process-global: tests that flip it hold this lock so
+    /// they cannot flip it under each other.
+    static FUSE_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     use slime_rng::SeedableRng;
 
     #[test]
@@ -173,6 +177,7 @@ mod tests {
 
     #[test]
     fn hashed_sampler_preserves_expectation_and_seed_determinism() {
+        let _gate = FUSE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was = crate::simd::fuse::enabled();
         crate::simd::fuse::set_enabled(true);
         let x = Tensor::constant(NdArray::ones(vec![10_000]));
@@ -194,6 +199,7 @@ mod tests {
     fn samplers_follow_the_fuse_gate() {
         // Sequential consumes one draw per element; hashed consumes one u64
         // (two PCG outputs) total — observable through the rng state.
+        let _gate = FUSE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was = crate::simd::fuse::enabled();
         let x = Tensor::constant(NdArray::ones(vec![100]));
         crate::simd::fuse::set_enabled(false);

@@ -14,7 +14,7 @@
 //! exactly the paper's filter mixer. With one all-ones mask branch it is
 //! FMLP-Rec's global filter.
 //!
-//! Backward (derived from the adjoints of the real FFT pair; all verified by
+//! Backward (derived from the adjoints of the real DFT pair; all verified by
 //! finite differences in `tests/gradcheck.rs`):
 //!
 //! ```text
@@ -22,36 +22,22 @@
 //!                with Im(G) zeroed at k = 0 and the even-N Nyquist bin
 //! grad_X       = G * conj(F)
 //! grad_W_i     = coef_i * mask_i[k] * sum_b G * conj(X)
-//! grad_x[b,:,c]= Re( unnormalized-inverse-FFT( zero-pad(grad_X[b,:,c], N) ) )
+//! grad_x[b,:,c]= Re( unnormalized-inverse-DFT( zero-pad(grad_X[b,:,c], N) ) )
 //! ```
+//!
+//! Every transform — forward, replay and both adjoints — is a dense matmul
+//! against cached trig tables (`DftTables`), one `[N, D]` batch plane per
+//! parallel chunk.
 
-use slime_fft::{with_cached_plan, Complex32};
 use slime_par::UnsafeSlice;
 
 use crate::ndarray::NdArray;
 use crate::tensor::{Op, Tensor};
 
-/// FFT points per parallel task: each chunk covers roughly this many time
-/// samples' worth of (batch, channel) transforms. A pure function of the
-/// shape, so the chunk grid — and therefore the result bits — never depend
-/// on the thread count.
-const FFT_POINTS_PER_CHUNK: usize = 4096;
-
-fn pairs_per_chunk(n: usize) -> usize {
-    (FFT_POINTS_PER_CHUNK / n.max(1)).max(1)
-}
-
-/// Sequence lengths up to this run the rfft/irfft pair as small matmuls
-/// against cached trig tables instead of per-(batch, channel) FFTs.
-///
-/// At recommendation lengths (`max_len` ~ 50) the transform is a `[M, N]`
-/// contraction with `M = N/2 + 1` ~ 26 rows: the blocked `i-k-j` matmul
-/// kernel streams it at vector width, while Bluestein's algorithm (needed
-/// for non-power-of-two `N`) costs two length-128 complex FFTs *and a
-/// scratch allocation* per transform — and one `[B, N, D]` pass runs
-/// `B * D` of them. The matmul path is O(N^2) per pair versus the FFT's
-/// O(N log N), so long sequences stay on the FFT path.
-const DFT_MATMUL_MAX_N: usize = 128;
+/// Spectrum elements per parallel task of the `grad_F` reduction over
+/// frequency rows. A pure function of the shape, so the chunk grid — and
+/// therefore the result bits — never depend on the thread count.
+const POINTS_PER_CHUNK: usize = 4096;
 
 /// Cached rfft/irfft coefficient tables for one sequence length.
 ///
@@ -64,12 +50,17 @@ const DFT_MATMUL_MAX_N: usize = 128;
 /// * `dre[t * m + k] = (c_k / n) cos(theta)`, `dim[t * m + k] =
 ///   -(c_k / n) sin(theta)`: `y = irfft(Y)` is `dre @ Yre + dim @ Yim`.
 ///   The `dim` columns at DC and the even-`n` Nyquist bin are exactly
-///   zero — that *is* the conjugate-symmetry projection the FFT path
-///   applies by zeroing those imaginary parts.
+///   zero — the conjugate-symmetry projection that discards those
+///   imaginary parts.
 ///
 /// The backward transforms are the transposes of these same tables (see
 /// `SpectralOp::backward`), which the `matmul_tn_rows` kernel reads in
 /// place.
+///
+/// Each transform costs O(N^2) per (batch, channel) pair against an FFT's
+/// O(N log N), but runs at vector width through the blocked row kernel
+/// with no per-pair plan lookup or scratch; the tables hold `4 * M * N`
+/// floats (~320 KB at N = 200) per thread and length.
 struct DftTables {
     cre: Vec<f32>,
     cim: Vec<f32>,
@@ -118,7 +109,7 @@ std::thread_local! {
 }
 
 /// Run `f` with the cached tables for length `n`, building them on first
-/// use (a few KiB per length; lengths in a process are few).
+/// use (lengths in a process are few).
 fn with_dft_tables<R>(n: usize, f: impl FnOnce(&DftTables) -> R) -> R {
     let tables = DFT_TABLES.with(|cache| {
         std::rc::Rc::clone(
@@ -173,13 +164,6 @@ pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
     assert_eq!(shape.len(), 3, "spectral filter expects [B, N, D]");
     let (b, n, d) = (shape[0], shape[1], shape[2]);
     assert!(n >= 1, "empty time axis");
-    // Which transform path this shape takes (trig-matmul for short
-    // sequences, per-channel FFT otherwise) — counted once per op call.
-    if n <= DFT_MATMUL_MAX_N && d > 0 {
-        slime_trace::metrics::counter_add("spectral.matmul_path", 1);
-    } else {
-        slime_trace::metrics::counter_add("spectral.fft_path", 1);
-    }
     let m = n / 2 + 1;
     for (i, br) in branches.iter().enumerate() {
         assert_eq!(br.w_re.shape(), vec![m, d], "branch {i} w_re shape");
@@ -222,12 +206,12 @@ pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
 /// `(out, xre, xim)` — the output signal and the saved forward spectrum
 /// planes the backward pass reads.
 ///
-/// Short sequences (the recommendation case) run the transform as two
-/// cached-table matmuls per [N, D] batch plane through the blocked row
-/// kernel; long ones fall back to per-(batch, channel) FFTs. Both grids
-/// are pure functions of the shape, so results never depend on the
-/// thread count.
-#[allow(clippy::needless_range_loop)] // strided gather/scatter over (b, k, c) planes
+/// One chunk per `[N, D]` batch plane runs `X = C @ x`, `Y = X * F` into a
+/// chunk-local `[M, D]` scratch, then `y = dre @ Yre + dim @ Yim`; the row
+/// kernel accumulates into the zeroed output, so the two matmuls fold in a
+/// fixed order. The grid is a pure function of the shape, so results never
+/// depend on the thread count.
+#[allow(clippy::needless_range_loop)] // elementwise product across four same-shape planes
 fn spectral_transform(
     src: &[f32],
     fre: &[f32],
@@ -243,130 +227,41 @@ fn spectral_transform(
     );
     let mut xre = crate::pool::take_filled(b * m * d, 0.0);
     let mut xim = crate::pool::take_filled(b * m * d, 0.0);
-    if n <= DFT_MATMUL_MAX_N && d > 0 {
+    let mut out = crate::pool::take_filled(b * n * d, 0.0);
+    if d == 0 {
+        return (out, xre, xim);
+    }
+    {
         let wre = UnsafeSlice::new(&mut xre);
         let wim = UnsafeSlice::new(&mut xim);
+        let wout = UnsafeSlice::new(&mut out);
         slime_par::parallel_for(b, 1, |lo, hi| {
             with_dft_tables(n, |tab| {
+                let mut scratch = crate::pool::take_filled(2 * m * d, 0.0);
+                let (yre, yim) = scratch.split_at_mut(m * d);
                 for bi in lo..hi {
                     let x_plane = &src[bi * n * d..(bi + 1) * n * d];
                     // SAFETY: each batch plane is claimed by exactly one
-                    // chunk, so these [M, D] slices are disjoint.
+                    // chunk, so these per-plane slices are disjoint.
                     // lint-proof(l8): wre[lo * m * d .. hi * m * d]
                     // lint-proof(l8): wim[lo * m * d .. hi * m * d]
+                    // lint-proof(l8): wout[lo * n * d .. hi * n * d]
                     let ore = unsafe { wre.slice_mut(bi * m * d, m * d) };
                     let oim = unsafe { wim.slice_mut(bi * m * d, m * d) };
+                    let o = unsafe { wout.slice_mut(bi * n * d, n * d) };
                     crate::ndarray::matmul_rows(&tab.cre, x_plane, ore, n, d);
                     crate::ndarray::matmul_rows(&tab.cim, x_plane, oim, n, d);
-                }
-            });
-        });
-    } else {
-        // Workers fetch the length-n plan from their thread-local cache
-        // once per chunk; because pool workers are persistent, the plan
-        // survives across calls.
-        let wre = UnsafeSlice::new(&mut xre);
-        let wim = UnsafeSlice::new(&mut xim);
-        slime_par::parallel_for(b * d, pairs_per_chunk(n), |lo, hi| {
-            with_cached_plan(n, |plan| {
-                let mut buf = vec![Complex32::ZERO; n];
-                for p in lo..hi {
-                    let (bi, c) = (p / d, p % d);
-                    for (t, slot) in buf.iter_mut().enumerate() {
-                        *slot = Complex32::new(src[(bi * n + t) * d + c], 0.0);
+                    for i in 0..m * d {
+                        yre[i] = ore[i] * fre[i] - oim[i] * fim[i];
+                        yim[i] = ore[i] * fim[i] + oim[i] * fre[i];
                     }
-                    plan.forward(&mut buf);
-                    for k in 0..m {
-                        // SAFETY: distinct (bi, c) pairs touch disjoint
-                        // (bi, k, c) slots, and each pair is claimed by
-                        // exactly one chunk.
-                        // lint-proof(l8): wre[(p / d * m + k) * d + p % d for p in lo..hi]
-                        // lint-proof(l8): wim[(p / d * m + k) * d + p % d for p in lo..hi]
-                        unsafe {
-                            wre.write((bi * m + k) * d + c, buf[k].re);
-                            wim.write((bi * m + k) * d + c, buf[k].im);
-                        }
-                    }
+                    crate::ndarray::matmul_rows(&tab.dre, yre, o, m, d);
+                    crate::ndarray::matmul_rows(&tab.dim, yim, o, m, d);
                 }
+                crate::pool::recycle(scratch);
             });
         });
     }
-
-    // Y = X * F, then y = irfft(Y). Same decomposition as the forward
-    // transform in each path.
-    let mut out = crate::pool::take_filled(b * n * d, 0.0);
-    if n <= DFT_MATMUL_MAX_N && d > 0 {
-        // Elementwise complex product into pooled [B, M, D] planes, then
-        // y[bi] = dre @ Yre[bi] + dim @ Yim[bi]: the row kernel accumulates
-        // into the zeroed output, so the two matmuls fold in a fixed order.
-        let mut yre = crate::pool::take_filled(b * m * d, 0.0);
-        let mut yim = crate::pool::take_filled(b * m * d, 0.0);
-        {
-            let pre = UnsafeSlice::new(&mut yre);
-            let pim = UnsafeSlice::new(&mut yim);
-            let wout = UnsafeSlice::new(&mut out);
-            let (xre, xim, fre, fim) = (&xre, &xim, &fre, &fim);
-            slime_par::parallel_for(b, 1, |lo, hi| {
-                with_dft_tables(n, |tab| {
-                    for bi in lo..hi {
-                        // SAFETY: disjoint per-plane slices (one chunk per
-                        // batch index).
-                        // lint-proof(l8): pre[lo * m * d .. hi * m * d]
-                        // lint-proof(l8): pim[lo * m * d .. hi * m * d]
-                        // lint-proof(l8): wout[lo * n * d .. hi * n * d]
-                        let yre = unsafe { pre.slice_mut(bi * m * d, m * d) };
-                        let yim = unsafe { pim.slice_mut(bi * m * d, m * d) };
-                        let o = unsafe { wout.slice_mut(bi * n * d, n * d) };
-                        for i in 0..m * d {
-                            let xi = bi * m * d + i;
-                            yre[i] = xre[xi] * fre[i] - xim[xi] * fim[i];
-                            yim[i] = xre[xi] * fim[i] + xim[xi] * fre[i];
-                        }
-                        crate::ndarray::matmul_rows(&tab.dre, yre, o, m, d);
-                        crate::ndarray::matmul_rows(&tab.dim, yim, o, m, d);
-                    }
-                });
-            });
-        }
-        crate::pool::recycle(yre);
-        crate::pool::recycle(yim);
-    } else {
-        let wout = UnsafeSlice::new(&mut out);
-        let (xre, xim, fre, fim) = (&xre, &xim, &fre, &fim);
-        slime_par::parallel_for(b * d, pairs_per_chunk(n), |lo, hi| {
-            with_cached_plan(n, |plan| {
-                let mut buf = vec![Complex32::ZERO; n];
-                for p in lo..hi {
-                    let (bi, c) = (p / d, p % d);
-                    for k in 0..m {
-                        let xi = (bi * m + k) * d + c;
-                        let wi = k * d + c;
-                        buf[k] = Complex32::new(
-                            xre[xi] * fre[wi] - xim[xi] * fim[wi],
-                            xre[xi] * fim[wi] + xim[xi] * fre[wi],
-                        );
-                    }
-                    // Conjugate-symmetric extension with DC/Nyquist projection.
-                    buf[0] = Complex32::new(buf[0].re, 0.0);
-                    if n % 2 == 0 {
-                        buf[m - 1] = Complex32::new(buf[m - 1].re, 0.0);
-                    }
-                    for k in 1..m {
-                        if n - k >= m {
-                            buf[n - k] = buf[k].conj();
-                        }
-                    }
-                    plan.inverse(&mut buf);
-                    // lint-proof(l8): wout[(p / d * n + t) * d + p % d for p in lo..hi]
-                    for t in 0..n {
-                        // SAFETY: disjoint (bi, t, c) slots per pair.
-                        unsafe { wout.write((bi * n + t) * d + c, buf[t].re) };
-                    }
-                }
-            });
-        });
-    }
-
     (out, xre, xim)
 }
 
@@ -434,65 +329,46 @@ impl Op for SpectralOp {
             .collect();
         let (fre, fim) = effective_filter_from(&self.masks, &self.coefs, &weights, m, d);
 
-        // Per-bin adjoint weights c_k / N.
-        let mut ck = vec![2.0f32 / n as f32; m];
-        ck[0] = 1.0 / n as f32;
-        if n % 2 == 0 {
-            ck[m - 1] = 1.0 / n as f32;
-        }
-
-        // G = (c_k/N) rfft(grad_y). On the matmul path this is exactly the
-        // transpose of the irfft fold tables — `Gre = dre^T @ grad_y`,
-        // `Gim = dim^T @ grad_y` per plane, with the zeroed `dim` columns
-        // supplying the "no gradient to discarded imaginary parts" rule —
-        // which `matmul_tn_rows` reads in place, no transpose materialized.
+        // One chunk per batch plane. `G = (c_k/N) rfft(grad_y)` is exactly
+        // the transpose of the irfft fold tables — `Gre = dre^T @ grad_y`,
+        // `Gim = dim^T @ grad_y` — with the zeroed `dim` columns supplying
+        // the "no gradient to discarded imaginary parts" rule. Then
+        // `grad_X = G * conj(F)` goes into a chunk-local `[M, D]` scratch
+        // and the rfft adjoint is the transposed forward tables:
+        // `grad_x = cre^T @ Zre + cim^T @ Zim`, accumulated in a fixed
+        // order. `matmul_tn_rows` reads every transpose in place.
         let mut gre = crate::pool::take_filled(b * m * d, 0.0);
         let mut gim = crate::pool::take_filled(b * m * d, 0.0);
-        if n <= DFT_MATMUL_MAX_N && d > 0 {
+        let mut dx = crate::pool::take_filled(b * n * d, 0.0);
+        if d > 0 {
             let wre = UnsafeSlice::new(&mut gre);
             let wim = UnsafeSlice::new(&mut gim);
+            let wdx = UnsafeSlice::new(&mut dx);
+            let (fre, fim) = (&fre, &fim);
             slime_par::parallel_for(b, 1, |lo, hi| {
                 with_dft_tables(n, |tab| {
+                    let mut scratch = crate::pool::take_filled(2 * m * d, 0.0);
+                    let (zre, zim) = scratch.split_at_mut(m * d);
                     for bi in lo..hi {
                         let g_plane = &g[bi * n * d..(bi + 1) * n * d];
-                        // SAFETY: disjoint per-plane slices.
+                        // SAFETY: disjoint per-plane slices (one chunk per
+                        // batch index).
                         // lint-proof(l8): wre[lo * m * d .. hi * m * d]
                         // lint-proof(l8): wim[lo * m * d .. hi * m * d]
+                        // lint-proof(l8): wdx[lo * n * d .. hi * n * d]
                         let ore = unsafe { wre.slice_mut(bi * m * d, m * d) };
                         let oim = unsafe { wim.slice_mut(bi * m * d, m * d) };
+                        let o = unsafe { wdx.slice_mut(bi * n * d, n * d) };
                         crate::ndarray::matmul_tn_rows(&tab.dre, g_plane, ore, 0, n, m, d);
                         crate::ndarray::matmul_tn_rows(&tab.dim, g_plane, oim, 0, n, m, d);
-                    }
-                });
-            });
-        } else {
-            let wre = UnsafeSlice::new(&mut gre);
-            let wim = UnsafeSlice::new(&mut gim);
-            let ck = &ck;
-            slime_par::parallel_for(b * d, pairs_per_chunk(n), |lo, hi| {
-                with_cached_plan(n, |plan| {
-                    let mut buf = vec![Complex32::ZERO; n];
-                    for p in lo..hi {
-                        let (bi, c) = (p / d, p % d);
-                        for (t, slot) in buf.iter_mut().enumerate() {
-                            *slot = Complex32::new(g[(bi * n + t) * d + c], 0.0);
+                        for i in 0..m * d {
+                            zre[i] = ore[i] * fre[i] + oim[i] * fim[i];
+                            zim[i] = oim[i] * fre[i] - ore[i] * fim[i];
                         }
-                        plan.forward(&mut buf);
-                        for k in 0..m {
-                            let gi = (bi * m + k) * d + c;
-                            // Imaginary parts of the DC and even-N Nyquist
-                            // bins were discarded by irfft, so no gradient
-                            // flows to them.
-                            let drop_im = k == 0 || (n % 2 == 0 && k == m - 1);
-                            // SAFETY: disjoint (bi, k, c) slots per pair.
-                            // lint-proof(l8): wre[(p / d * m + k) * d + p % d for p in lo..hi]
-                            // lint-proof(l8): wim[(p / d * m + k) * d + p % d for p in lo..hi]
-                            unsafe {
-                                wre.write(gi, buf[k].re * ck[k]);
-                                wim.write(gi, if drop_im { 0.0 } else { buf[k].im * ck[k] });
-                            }
-                        }
+                        crate::ndarray::matmul_tn_rows(&tab.cre, zre, o, 0, m, n, d);
+                        crate::ndarray::matmul_tn_rows(&tab.cim, zim, o, 0, m, n, d);
                     }
+                    crate::pool::recycle(scratch);
                 });
             });
         }
@@ -511,7 +387,7 @@ impl Op for SpectralOp {
             let wdre = UnsafeSlice::new(&mut dfre);
             let wdim = UnsafeSlice::new(&mut dfim);
             let (gre, gim) = (&gre, &gim);
-            let rows_per_chunk = (FFT_POINTS_PER_CHUNK / (b * d).max(1)).max(1);
+            let rows_per_chunk = (POINTS_PER_CHUNK / (b * d).max(1)).max(1);
             slime_par::parallel_for(m, rows_per_chunk, |k0, k1| {
                 // SAFETY: chunks partition `0..m`, so these row ranges are
                 // disjoint across tasks.
@@ -527,69 +403,6 @@ impl Op for SpectralOp {
                             dre[w] += gre[i] * xre[i] + gim[i] * xim[i];
                             dim[w] += gim[i] * xre[i] - gre[i] * xim[i];
                         }
-                    }
-                }
-            });
-        }
-
-        // grad_x via grad_X = G * conj(F), then the rfft adjoint. On the
-        // matmul path the adjoint is the transposed forward tables:
-        // `grad_x = cre^T @ Zre + cim^T @ Zim` per plane, again read in
-        // place by the tn kernel and accumulated in a fixed order.
-        let mut dx = crate::pool::take_filled(b * n * d, 0.0);
-        if n <= DFT_MATMUL_MAX_N && d > 0 {
-            let mut zre = crate::pool::take_filled(b * m * d, 0.0);
-            let mut zim = crate::pool::take_filled(b * m * d, 0.0);
-            {
-                let pre = UnsafeSlice::new(&mut zre);
-                let pim = UnsafeSlice::new(&mut zim);
-                let wdx = UnsafeSlice::new(&mut dx);
-                let (gre, gim, fre, fim) = (&gre, &gim, &fre, &fim);
-                slime_par::parallel_for(b, 1, |lo, hi| {
-                    with_dft_tables(n, |tab| {
-                        for bi in lo..hi {
-                            // SAFETY: disjoint per-plane slices.
-                            // lint-proof(l8): pre[lo * m * d .. hi * m * d]
-                            // lint-proof(l8): pim[lo * m * d .. hi * m * d]
-                            // lint-proof(l8): wdx[lo * n * d .. hi * n * d]
-                            let zre = unsafe { pre.slice_mut(bi * m * d, m * d) };
-                            let zim = unsafe { pim.slice_mut(bi * m * d, m * d) };
-                            let o = unsafe { wdx.slice_mut(bi * n * d, n * d) };
-                            for i in 0..m * d {
-                                let gi = bi * m * d + i;
-                                zre[i] = gre[gi] * fre[i] + gim[gi] * fim[i];
-                                zim[i] = gim[gi] * fre[i] - gre[gi] * fim[i];
-                            }
-                            crate::ndarray::matmul_tn_rows(&tab.cre, zre, o, 0, m, n, d);
-                            crate::ndarray::matmul_tn_rows(&tab.cim, zim, o, 0, m, n, d);
-                        }
-                    });
-                });
-            }
-            crate::pool::recycle(zre);
-            crate::pool::recycle(zim);
-        } else {
-            let wdx = UnsafeSlice::new(&mut dx);
-            let (gre, gim, fre, fim) = (&gre, &gim, &fre, &fim);
-            slime_par::parallel_for(b * d, pairs_per_chunk(n), |lo, hi| {
-                let mut buf = vec![Complex32::ZERO; n];
-                for p in lo..hi {
-                    let (bi, c) = (p / d, p % d);
-                    buf.iter_mut().for_each(|s| *s = Complex32::ZERO);
-                    for k in 0..m {
-                        let i = (bi * m + k) * d + c;
-                        let w = k * d + c;
-                        buf[k] = Complex32::new(
-                            gre[i] * fre[w] + gim[i] * fim[w],
-                            gim[i] * fre[w] - gre[i] * fim[w],
-                        );
-                    }
-                    // `ifft_unscaled` reuses this worker's cached plan.
-                    slime_fft::ifft_unscaled(&mut buf);
-                    // lint-proof(l8): wdx[(p / d * n + t) * d + p % d for p in lo..hi]
-                    for t in 0..n {
-                        // SAFETY: disjoint (bi, t, c) slots per pair.
-                        unsafe { wdx.write((bi * n + t) * d + c, buf[t].re) };
                     }
                 }
             });
@@ -628,11 +441,6 @@ impl Op for SpectralOp {
         debug_assert_eq!(parents.len() % 2, 1, "signal plus (re, im) weight pairs");
         let (b, n, d) = (self.b, self.n, self.d);
         let m = n / 2 + 1;
-        if n <= DFT_MATMUL_MAX_N && d > 0 {
-            slime_trace::metrics::counter_add("spectral.matmul_path", 1);
-        } else {
-            slime_trace::metrics::counter_add("spectral.fft_path", 1);
-        }
         let weights: Vec<(NdArray, NdArray)> = parents[1..]
             .chunks(2)
             .map(|p| (p[0].value(), p[1].value()))
@@ -662,6 +470,7 @@ impl Drop for SpectralOp {
 mod tests {
     use super::*;
     use crate::ops::{mul, sum_all};
+    use slime_fft::{with_cached_plan, Complex32};
 
     fn ones_branch(m: usize, d: usize) -> SpectralBranch {
         SpectralBranch {
@@ -782,10 +591,11 @@ mod tests {
 
     #[test]
     fn dft_tables_match_fft_plan_and_roundtrip() {
-        // The cached-table matmul path computes the same rfft as the FFT
-        // plan, and its irfft fold tables invert it (even and odd n, so
-        // both Nyquist conventions are covered).
-        for n in [4usize, 7, 50] {
+        // The cached-table matmuls compute the same rfft as the FFT plan,
+        // and the irfft fold tables invert it (even and odd n, so both
+        // Nyquist conventions are covered, up to the longest paper length
+        // and past it).
+        for n in [4usize, 7, 50, 150, 200, 256] {
             let m = n / 2 + 1;
             let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
             let tab = DftTables::new(n);
@@ -811,11 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn long_sequences_use_fft_path() {
-        // n > DFT_MATMUL_MAX_N exercises the Bluestein/FFT branch end to
-        // end: the identity filter must still be the identity and gradients
-        // must still flow.
-        let (bsz, n, d) = (1, DFT_MATMUL_MAX_N + 22, 2);
+    fn long_sequences_filter_is_identity() {
+        // ML-1M length (n = 200): the identity filter must still be the
+        // identity and gradients must still flow.
+        let (bsz, n, d) = (1, 200, 2);
         let m = n / 2 + 1;
         let x = Tensor::param(NdArray::from_vec(
             vec![bsz, n, d],
@@ -827,6 +636,48 @@ mod tests {
         }
         sum_all(&mul(&y, &y)).backward();
         assert!(x.grad().is_some());
+    }
+
+    #[test]
+    fn filter_mix_is_bitwise_stable_across_thread_counts() {
+        // Forward output and every gradient at [3, 200, 8] must not depend
+        // on how many threads split the per-plane grid.
+        let (bsz, n, d) = (3, 200, 8);
+        let m = n / 2 + 1;
+        let run = || {
+            let x = Tensor::param(NdArray::from_vec(
+                vec![bsz, n, d],
+                (0..bsz * n * d).map(|i| (i as f32 * 0.31).sin()).collect(),
+            ));
+            let br = SpectralBranch {
+                w_re: Tensor::param(NdArray::from_vec(
+                    vec![m, d],
+                    (0..m * d).map(|i| (i as f32 * 0.17).cos()).collect(),
+                )),
+                w_im: Tensor::param(NdArray::from_vec(
+                    vec![m, d],
+                    (0..m * d).map(|i| (i as f32 * 0.23).sin()).collect(),
+                )),
+                mask: (0..m).map(|k| if k % 3 == 0 { 0.0 } else { 1.0 }).collect(),
+                coef: 0.75,
+            };
+            let y = spectral_filter_mix(&x, std::slice::from_ref(&br));
+            sum_all(&mul(&y, &y)).backward();
+            let bits = |a: NdArray| a.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            [
+                bits(y.value()),
+                bits(x.grad().unwrap()),
+                bits(br.w_re.grad().unwrap()),
+                bits(br.w_im.grad().unwrap()),
+            ]
+        };
+        let prev = slime_par::num_threads();
+        slime_par::set_threads(1);
+        let one = run();
+        slime_par::set_threads(2);
+        let two = run();
+        slime_par::set_threads(prev);
+        assert!(one == two, "results differ between 1 and 2 threads");
     }
 
     #[test]

@@ -287,13 +287,14 @@ mod tests {
         begin_capture(&inputs, &targets);
         let y = ops::scale(&ops::sigmoid(&x), 2.0);
         let plan = end_capture().expect("chain is replayable");
-        let before = crate::tensor::nodes_allocated();
+        // Count this thread's nodes only.
+        let before = crate::tensor::nodes_allocated_on_thread();
 
         // Mutate the leaf as an optimizer step would, then replay.
         x.set_data(NdArray::from_vec(vec![4], vec![0.5, 0.25, -1.0, 2.0]));
         plan.replay(&inputs, &targets, None).expect("replay");
         assert_eq!(
-            crate::tensor::nodes_allocated(),
+            crate::tensor::nodes_allocated_on_thread(),
             before,
             "replay allocated nodes"
         );

@@ -57,6 +57,20 @@ pub fn nodes_allocated() -> u64 {
     NODES_ALLOCATED.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
+std::thread_local! {
+    static THREAD_NODES_ALLOCATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Lifetime count of graph nodes allocated on the calling thread. Graphs
+/// are `Rc`-linked and never cross threads, so unit tests read this
+/// instead of the process-wide [`nodes_allocated`], which other tests
+/// move from their own threads.
+#[cfg(test)]
+pub(crate) fn nodes_allocated_on_thread() -> u64 {
+    THREAD_NODES_ALLOCATED.with(|c| c.get())
+}
+
 struct Node {
     parents: Vec<Tensor>,
     op: Box<dyn Op>,
@@ -159,6 +173,8 @@ impl Tensor {
         let requires_grad = parents.iter().any(|p| p.requires_grad());
         if requires_grad {
             NODES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+            #[cfg(test)]
+            THREAD_NODES_ALLOCATED.with(|c| c.set(c.get() + 1));
         }
         let t = Tensor {
             inner: Rc::new(Inner {

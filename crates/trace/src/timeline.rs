@@ -129,10 +129,31 @@ fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
     f(guard.get_or_insert_with(State::new))
 }
 
+/// What a worker knows about the published job it is executing, captured
+/// at `worker_begin`. The publisher's `job_end` can retire the job from
+/// [`State::jobs`] before a worker that ran its last chunk reaches
+/// `worker_end`, so the slice must not depend on the job still being live.
+#[derive(Clone, Copy)]
+struct ActiveJob {
+    token: u64,
+    begin_ns: u64,
+    publish_ns: u64,
+    n_chunks: u32,
+    chunk_size: u32,
+}
+
+const IDLE: ActiveJob = ActiveJob {
+    token: 0,
+    begin_ns: 0,
+    publish_ns: 0,
+    n_chunks: 0,
+    chunk_size: 0,
+};
+
 thread_local! {
-    /// `(job token, begin_ns)` while this thread executes a published job.
-    /// A thread works one job at a time, so one cell suffices.
-    static ACTIVE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The job this thread is executing, if any. A thread works one job at
+    /// a time, so one cell suffices.
+    static ACTIVE: Cell<ActiveJob> = const { Cell::new(IDLE) };
 }
 
 struct TimelineObserver;
@@ -182,25 +203,33 @@ impl slime_par::ParObserver for TimelineObserver {
     }
 
     fn worker_begin(&self, token: u64, _worker: usize) {
-        let now = crate::now_ns();
-        let _ = ACTIVE.try_with(|c| c.set((token, now)));
+        let begin_ns = crate::now_ns();
+        // A worker that picks the job up only after it ended finds no
+        // entry; its grid is exhausted, so it claims and records nothing.
+        let active = with_state(|s| {
+            s.jobs.get(&token).map(|j| ActiveJob {
+                token,
+                begin_ns,
+                publish_ns: j.publish_ns,
+                n_chunks: j.n_chunks,
+                chunk_size: j.chunk_size,
+            })
+        });
+        let _ = ACTIVE.try_with(|c| c.set(active.unwrap_or(IDLE)));
     }
 
     fn worker_end(&self, token: u64, worker: usize, chunks: u64) {
-        let (tok, t0) = ACTIVE.try_with(|c| c.replace((0, 0))).unwrap_or((0, 0));
-        if tok != token || token == 0 {
+        let a = ACTIVE.try_with(|c| c.replace(IDLE)).unwrap_or(IDLE);
+        if a.token != token || token == 0 {
             return;
         }
+        let t0 = a.begin_ns;
         let busy = crate::now_ns().saturating_sub(t0);
         let worker = worker as u32;
-        let mut queue_wait = 0u64;
-        let mut n_chunks = 0u32;
-        let mut chunk_size = 0u32;
+        let queue_wait = t0.saturating_sub(a.publish_ns);
+        let (n_chunks, chunk_size) = (a.n_chunks, a.chunk_size);
         with_state(|s| {
             if let Some(j) = s.jobs.get_mut(&token) {
-                queue_wait = t0.saturating_sub(j.publish_ns);
-                n_chunks = j.n_chunks;
-                chunk_size = j.chunk_size;
                 if chunks > 0 {
                     j.busies.push(busy);
                 }

@@ -243,13 +243,28 @@ fn parallel_jobs_leave_worker_slices_gauges_and_a_loadable_timeline() {
         for _ in 0..8 {
             parallel_touch(1 << 14, 256);
         }
+        // Which lanes run the jobs above is scheduling-dependent: on tiny
+        // chunks the publisher can drain a grid before any worker wakes.
+        // This job forces a second lane: a publisher chunk waits (bounded)
+        // until a pool worker has claimed a chunk of the same grid.
+        let other_lane = std::sync::atomic::AtomicBool::new(false);
+        slime_par::parallel_for(64, 1, |_, _| {
+            if slime_par::current_worker() != 0 {
+                other_lane.store(true, std::sync::atomic::Ordering::SeqCst);
+                return;
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !other_lane.load(std::sync::atomic::Ordering::SeqCst)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+        });
     }
     let events = slime_trace::drain_events();
     let slices = slime_trace::drain_slices();
     assert!(!slices.is_empty(), "parallel jobs must leave worker slices");
-    // Which lanes show up is scheduling-dependent (fast workers can starve
-    // the publisher on small grids) — but 8 jobs across a 4-thread pool
-    // must involve at least two distinct lanes.
+    // Jobs across a 4-thread pool must involve at least two distinct lanes.
     let workers: std::collections::BTreeSet<u32> = slices.iter().map(|s| s.worker).collect();
     assert!(workers.len() >= 2, "expected >= 2 lanes, got {workers:?}");
     for s in &slices {
