@@ -206,10 +206,14 @@ fn load_model(dir: &str) -> Result<(SlimeConfig, Slime4Rec), ArgError> {
             .map_err(|e| ArgError(format!("cannot read {}: {e}", cfg_path.display())))?,
     )
     .map_err(|e| ArgError(format!("bad config: {e}")))?;
+    cfg.check()
+        .map_err(|e| ArgError(format!("bad config {}: {e}", cfg_path.display())))?;
     let model = Slime4Rec::new(cfg.clone());
     let sd = StateDict::load(&weights_path)
         .map_err(|e| ArgError(format!("cannot read {}: {e}", weights_path.display())))?;
-    model.load_state_dict(&sd);
+    model
+        .try_load_state_dict(&sd)
+        .map_err(|e| ArgError(format!("bad checkpoint {}: {e}", weights_path.display())))?;
     Ok((cfg, model))
 }
 
@@ -268,7 +272,7 @@ fn cmd_train(args: &Args) -> Result<Vec<String>, ArgError> {
     cfg.lambda = args.get_or("lambda", 0.1f32)?;
     cfg.temperature = args.get_or("temperature", 0.2f32)?;
     cfg.seed = args.get_or("seed", 42u64)?;
-    cfg.validate();
+    cfg.check().map_err(ArgError)?;
 
     let tc = TrainConfig {
         epochs: args.get_or("epochs", 8usize)?,
@@ -811,6 +815,104 @@ mod tests {
         assert!(err.0.contains("--threads must be >= 1"));
         let err = run(&argv("evaluate --data x.json --model m --threads two")).unwrap_err();
         assert!(err.0.contains("--threads: cannot parse"));
+    }
+
+    /// The `entries` object of a weights file, record name to record.
+    type Entries = std::collections::BTreeMap<String, slime_json::Value>;
+
+    /// A freshly built tiny model saved to its own directory, with the
+    /// weights file's `entries` object passed through `corrupt` first.
+    fn corrupted_model(tag: &str, corrupt: impl FnOnce(&mut Entries)) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("slime_cli_ckpt_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = SlimeConfig::small(12);
+        cfg.hidden = 8;
+        cfg.max_len = 8;
+        cfg.layers = 1;
+        std::fs::write(dir.join("config.json"), slime_json::to_string(&cfg)).unwrap();
+        let sd = Slime4Rec::new(cfg).state_dict();
+        let mut v = slime_json::parse(&slime_json::to_string(&sd)).unwrap();
+        match &mut v {
+            slime_json::Value::Obj(top) => match top.get_mut("entries") {
+                Some(slime_json::Value::Obj(entries)) => corrupt(entries),
+                _ => panic!("weights have an entries object"),
+            },
+            _ => panic!("weights are an object"),
+        }
+        std::fs::write(dir.join("weights.json"), v.to_compact()).unwrap();
+        dir
+    }
+
+    /// The `(shape, data)` arrays of the first record in `entries`.
+    fn first_record(
+        entries: &mut Entries,
+    ) -> (&mut Vec<slime_json::Value>, &mut Vec<slime_json::Value>) {
+        let Some(slime_json::Value::Obj(rec)) = entries.values_mut().next() else {
+            panic!("records are objects");
+        };
+        let mut fields = rec.values_mut();
+        // BTreeMap order: "data" before "shape".
+        match (fields.next(), fields.next()) {
+            (Some(slime_json::Value::Arr(data)), Some(slime_json::Value::Arr(shape))) => {
+                (shape, data)
+            }
+            _ => panic!("records hold data and shape arrays"),
+        }
+    }
+
+    #[test]
+    fn bad_checkpoints_are_refused_not_panicked_on() {
+        // (tag, corruption, expected message)
+        type Case = (&'static str, fn(&mut Entries), &'static str);
+        let cases: [Case; 4] = [
+            (
+                "missing",
+                |e| {
+                    e.pop_first();
+                },
+                "missing parameter",
+            ),
+            (
+                "length",
+                |e| {
+                    first_record(e).1.pop();
+                },
+                "does not match data length",
+            ),
+            (
+                "shape",
+                |e| first_record(e).0.insert(0, slime_json::Value::Int(1)),
+                "model expects",
+            ),
+            (
+                "overflow",
+                |e| first_record(e).1[0] = slime_json::Value::Float(1e39),
+                "non-finite value at index 0",
+            ),
+        ];
+        for (tag, corrupt, want) in cases {
+            let dir = corrupted_model(tag, corrupt);
+            let err = load_model(&dir.display().to_string())
+                .err()
+                .unwrap_or_else(|| panic!("{tag}: checkpoint was accepted"));
+            assert!(err.0.contains("bad checkpoint"), "{tag}: {}", err.0);
+            assert!(err.0.contains(want), "{tag}: {}", err.0);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // A config that parses but is out of range is refused too.
+        let dir = corrupted_model("config", |_| {});
+        let cfg = std::fs::read_to_string(dir.join("config.json")).unwrap();
+        let cfg = cfg.replace("\"hidden\":8", "\"hidden\":0");
+        std::fs::write(dir.join("config.json"), cfg).unwrap();
+        let err = load_model(&dir.display().to_string())
+            .err()
+            .expect("a zero hidden size was accepted");
+        assert!(err.0.contains("hidden size must be positive"), "{}", err.0);
+        std::fs::remove_dir_all(&dir).ok();
+        // The untouched checkpoint still loads.
+        let dir = corrupted_model("clean", |_| {});
+        assert!(load_model(&dir.display().to_string()).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

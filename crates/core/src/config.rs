@@ -186,25 +186,45 @@ impl SlimeConfig {
         self.max_len / 2 + 1
     }
 
+    /// The first out-of-range hyper-parameter, if any, as a message. A
+    /// config read from outside the program goes through this.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.num_items >= 1, "need at least one item"),
+            (self.hidden >= 1, "hidden size must be positive"),
+            (self.max_len >= 2, "max_len must be >= 2"),
+            (self.layers >= 1, "need at least one layer"),
+            (
+                self.alpha > 0.0 && self.alpha <= 1.0,
+                "alpha must be in (0, 1]",
+            ),
+            ((0.0..=1.0).contains(&self.gamma), "gamma must be in [0, 1]"),
+            (self.temperature > 0.0, "temperature must be positive"),
+            (self.use_dfs || self.use_sfs, "enable at least one branch"),
+            (
+                (0.0..1.0).contains(&self.dropout_emb),
+                "dropout_emb must be in [0, 1)",
+            ),
+            (
+                (0.0..1.0).contains(&self.dropout_block),
+                "dropout_block must be in [0, 1)",
+            ),
+            (self.noise_eps >= 0.0, "noise_eps must be >= 0"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err(msg.to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// Validate invariants; call before building a model.
     ///
     /// # Panics
-    /// Panics on out-of-range hyper-parameters.
+    /// Panics on out-of-range hyper-parameters (see [`SlimeConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.num_items >= 1, "need at least one item");
-        assert!(self.hidden >= 1, "hidden size must be positive");
-        assert!(self.max_len >= 2, "max_len must be >= 2");
-        assert!(self.layers >= 1, "need at least one layer");
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        assert!((0.0..=1.0).contains(&self.gamma), "gamma must be in [0, 1]");
-        assert!(self.temperature > 0.0, "temperature must be positive");
-        assert!(self.use_dfs || self.use_sfs, "enable at least one branch");
-        assert!((0.0..1.0).contains(&self.dropout_emb));
-        assert!((0.0..1.0).contains(&self.dropout_block));
-        assert!(self.noise_eps >= 0.0);
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
     }
 }
 

@@ -133,14 +133,41 @@ impl FilterMixerBlock {
             slime_trace::prof::Phase::Forward,
             h.len() as u64,
         );
-        let filtered = match &self.gamma_logit {
+        let filtered = self.filtered(h, ops::spectral_filter_mix);
+        self.residual_ffn(h, &filtered, ctx)
+    }
+
+    /// The block's output at the last position only: `[B, N, d] -> [B, d]`,
+    /// equal to `index_axis(forward(h), 1, N - 1)` up to rounding (and to
+    /// the dropout draws, which cover only the rows computed). The filter
+    /// runs as its last-step correlation; the norms and the FFN are
+    /// position-wise, so they run on the one row.
+    pub fn forward_last(&self, h: &Tensor, ctx: &mut TrainContext) -> Tensor {
+        let _prof = slime_trace::prof::timer_n(
+            "filter_mixer.forward_last",
+            slime_trace::prof::Phase::Forward,
+            h.len() as u64,
+        );
+        let filtered = self.filtered(h, ops::spectral_filter_mix_last);
+        let last = ops::index_axis(h, 1, h.shape()[1] - 1);
+        self.residual_ffn(&last, &filtered, ctx)
+    }
+
+    /// The filter-mixer output (Eqs. 21/25/26/27) through `filter`, the
+    /// full-sequence op or its last-step form.
+    fn filtered(
+        &self,
+        h: &Tensor,
+        filter: fn(&Tensor, &[ops::SpectralBranch]) -> Tensor,
+    ) -> Tensor {
+        match &self.gamma_logit {
             // Learnable gamma: run each branch separately and mix in-graph
             // so the coefficient receives gradient.
             Some(logit) => {
                 let g = ops::sigmoid(logit); // scalar in (0, 1)
                 let branches = self.branches_unit_coef();
-                let yd = ops::spectral_filter_mix(h, &branches[..1]);
-                let ys = ops::spectral_filter_mix(h, &branches[1..]);
+                let yd = filter(h, &branches[..1]);
+                let ys = filter(h, &branches[1..]);
                 if slime_tensor::simd::fuse::enabled() {
                     slime_tensor::fusion::gate_mix(&yd, &ys, &g)
                 } else {
@@ -148,11 +175,17 @@ impl FilterMixerBlock {
                     ops::add(&ops::mul(&yd, &one_minus_g), &ops::mul(&ys, &g))
                 }
             }
-            None => ops::spectral_filter_mix(h, &self.branches()),
-        };
+            None => filter(h, &self.branches()),
+        }
+    }
+
+    /// Eqs. 28–30 on the filter output: residual + layer norm, the FFN,
+    /// and the densely residual norm. Position-wise, so `h` and `filtered`
+    /// may be whole sequences or single rows.
+    fn residual_ffn(&self, h: &Tensor, filtered: &Tensor, ctx: &mut TrainContext) -> Tensor {
         let a = self
             .ln_filter
-            .forward_add(h, &dropout(&filtered, self.p_drop, ctx));
+            .forward_add(h, &dropout(filtered, self.p_drop, ctx));
         let f = self.ffn.forward(&a, ctx);
         // Densely residual: LayerNorm(H^l + \hat H^l + Dropout(FFN)).
         self.ln_out
@@ -211,22 +244,34 @@ impl Slime4Rec {
     /// Encode a flattened `[batch * max_len]` id batch into hidden states
     /// `[batch, max_len, d]`.
     pub fn encode(&self, inputs: &[usize], batch: usize, ctx: &mut TrainContext) -> Tensor {
+        let mut h = self.embed(inputs, batch, ctx);
+        for block in &self.blocks {
+            h = block.forward(&self.with_layer_noise(h, ctx), ctx);
+        }
+        h
+    }
+
+    /// The embedding layer (Eqs. 9–10): item plus position embeddings,
+    /// layer norm and dropout, `[batch, max_len, d]`.
+    fn embed(&self, inputs: &[usize], batch: usize, ctx: &mut TrainContext) -> Tensor {
         let n = self.cfg.max_len;
         assert_eq!(inputs.len(), batch * n, "input length vs batch * max_len");
         let e = self.item_emb.forward(inputs, &[batch, n]);
         let p = self.pos_emb.forward(n);
-        let mut h = dropout(
+        dropout(
             &self.emb_ln.forward(&ops::add(&e, &p)),
             self.cfg.dropout_emb,
             ctx,
-        );
-        for block in &self.blocks {
-            if self.cfg.noise_eps > 0.0 {
-                h = ops::add(&h, &self.layer_noise(h.shape(), ctx));
-            }
-            h = block.forward(&h, ctx);
+        )
+    }
+
+    /// `h` plus the robustness experiment's layer noise, when it is on.
+    fn with_layer_noise(&self, h: Tensor, ctx: &mut TrainContext) -> Tensor {
+        if self.cfg.noise_eps > 0.0 {
+            ops::add(&h, &self.layer_noise(h.shape(), ctx))
+        } else {
+            h
         }
-        h
     }
 
     /// Uniform noise injected at layer inputs for the robustness
@@ -287,10 +332,17 @@ impl NextItemModel for Slime4Rec {
         self.cfg.max_len
     }
 
+    /// The last hidden vector of the top block (Eq. 31's `h^L`): the
+    /// blocks below run over every position, the top one only at the last.
     fn user_repr(&self, inputs: &[usize], batch: usize, ctx: &mut TrainContext) -> Tensor {
-        let h = self.encode(inputs, batch, ctx);
-        // The last hidden vector is the user representation (Eq. 31's h^L).
-        ops::index_axis(&h, 1, self.cfg.max_len - 1)
+        let mut h = self.embed(inputs, batch, ctx);
+        let Some((top, below)) = self.blocks.split_last() else {
+            return ops::index_axis(&h, 1, self.cfg.max_len - 1);
+        };
+        for block in below {
+            h = block.forward(&self.with_layer_noise(h, ctx), ctx);
+        }
+        top.forward_last(&self.with_layer_noise(h, ctx), ctx)
     }
 
     fn score_all(&self, repr: &Tensor) -> Tensor {
@@ -475,6 +527,66 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .sum();
         assert!(diff > 1e-6);
+    }
+
+    #[test]
+    fn user_repr_is_the_last_row_of_encode() {
+        // The top block's last-row path against the full-sequence reference
+        // across slide modes, learnable gamma, layer noise, even/odd N and
+        // one or two blocks. Eval mode: no dropout, and a fresh context per
+        // call so both paths draw the same layer noise.
+        use crate::config::SlideMode;
+        let modes = [
+            SlideMode::Mode1,
+            SlideMode::Mode2,
+            SlideMode::Mode3,
+            SlideMode::Mode4,
+        ];
+        for n in [7usize, 50, 200] {
+            for layers in [1usize, 2] {
+                for (i, &mode) in modes.iter().enumerate() {
+                    let mut c = tiny_cfg();
+                    c.max_len = n;
+                    c.layers = layers;
+                    c.slide_mode = mode;
+                    c.learnable_gamma = i % 2 == 1;
+                    c.noise_eps = if i >= 2 { 0.3 } else { 0.0 };
+                    let m = Slime4Rec::new(c);
+                    let batch = 3;
+                    let inputs: Vec<usize> = (0..batch * n).map(|t| (t * 7 + t / n) % 21).collect();
+                    let h = m.encode(&inputs, batch, &mut TrainContext::eval());
+                    let want = ops::index_axis(&h, 1, n - 1).value();
+                    let got = m
+                        .user_repr(&inputs, batch, &mut TrainContext::eval())
+                        .value();
+                    assert_eq!(got.shape(), want.shape());
+                    for (a, b) in got.data().iter().zip(want.data()) {
+                        assert!(
+                            (a - b).abs() < 1e-5,
+                            "n={n} layers={layers} {mode:?}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_mode4_windows_leave_half_the_bins_in_band() {
+        // alpha = 0.4, Mode 4, 2 layers: each layer's two windows span
+        // about half of M, so its spectral transforms skip the rest.
+        for (n, bands) in [(200usize, [51..101, 0..51]), (50, [13..26, 0..13])] {
+            let mut c = SlimeConfig::new(20);
+            c.max_len = n;
+            let m = Slime4Rec::new(c);
+            for (b, band) in m.blocks.iter().zip(bands) {
+                let live = |k: &usize| b.mask_d[*k] != 0.0 || b.mask_s[*k] != 0.0;
+                let m_bins = b.mask_d.len();
+                let lo = (0..m_bins).find(live).unwrap();
+                let hi = (0..m_bins).rev().find(live).unwrap() + 1;
+                assert_eq!(lo..hi, band, "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use slime_rng::rngs::StdRng;
 use slime_rng::SeedableRng;
-use slime_tensor::{StateDict, Tensor};
+use slime_tensor::{CheckpointError, NdArray, StateDict, Tensor};
 
 /// RNG + training-mode flag threaded through every forward pass.
 ///
@@ -105,6 +105,23 @@ pub trait Module {
         for (name, t) in c.entries() {
             sd.load_into(name, t);
         }
+    }
+
+    /// Load all parameters from a [`StateDict`], or refuse it with no
+    /// parameter written: every record must be present, match its
+    /// parameter's shape and hold only finite values.
+    fn try_load_state_dict(&self, sd: &StateDict) -> Result<(), CheckpointError> {
+        let mut c = ParamCollector::new();
+        self.collect(&mut c);
+        let records = c
+            .entries()
+            .iter()
+            .map(|(name, t)| Ok((t, sd.checked(name, &t.shape())?)))
+            .collect::<Result<Vec<_>, CheckpointError>>()?;
+        for (t, rec) in records {
+            t.set_data(NdArray::from_vec(rec.shape.clone(), rec.data.clone()));
+        }
+        Ok(())
     }
 
     /// Total number of scalar parameters.

@@ -60,11 +60,34 @@ fn resolve_from_env() -> usize {
     }
 }
 
-/// The number of threads parallel helpers will use (publisher included).
+std::thread_local! {
+    /// This thread's cap on [`num_threads`]; 0 means uncapped.
+    static THREAD_CAP: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The number of threads parallel helpers will use (publisher included):
+/// the process-wide count, lowered to this thread's [`set_thread_cap`].
 ///
 /// First call resolves `SLIME_THREADS` / `available_parallelism()` and
 /// caches the result; [`set_threads`] overrides it at any time.
 pub fn num_threads() -> usize {
+    let global = process_threads();
+    match THREAD_CAP.with(std::cell::Cell::get) {
+        0 => global,
+        cap => global.min(cap),
+    }
+}
+
+/// Cap the thread count of parallel calls published from the calling
+/// thread at `n` (0 lifts the cap). Other threads, and the process-wide
+/// count, are untouched: an embedded serving daemon limits its own
+/// forward passes without changing anyone else's parallelism.
+pub fn set_thread_cap(n: usize) {
+    THREAD_CAP.with(|c| c.set(n.min(MAX_THREADS)));
+}
+
+/// The process-wide thread count, resolved on first use.
+fn process_threads() -> usize {
     let t = THREADS.load(Ordering::Relaxed);
     if t != 0 {
         return t;
@@ -426,6 +449,23 @@ mod tests {
         fn drop(&mut self) {
             set_threads(4);
         }
+    }
+
+    #[test]
+    fn thread_cap_lowers_only_the_calling_thread() {
+        let _k = knob(4);
+        set_thread_cap(1);
+        assert_eq!(num_threads(), 1);
+        // Another thread still sees the process-wide count.
+        assert_eq!(
+            std::thread::scope(|s| s.spawn(num_threads).join().unwrap()),
+            4
+        );
+        // A cap above the process count does not raise it.
+        set_thread_cap(8);
+        assert_eq!(num_threads(), 4);
+        set_thread_cap(0);
+        assert_eq!(num_threads(), 4);
     }
 
     #[test]

@@ -45,8 +45,9 @@ pub struct ServeConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral, reported by
     /// [`Server::addr`]).
     pub port: u16,
-    /// slime-par worker threads for the forward pass (0 = leave the
-    /// global/runtime setting untouched).
+    /// Cap on the slime-par threads of the batcher's forward passes
+    /// (0 = no cap). Set on the batcher thread only, so the rest of the
+    /// process keeps its own count.
     pub workers: usize,
     /// Most requests gathered into one engine pass (1 = unbatched).
     pub max_batch: usize,

@@ -90,9 +90,8 @@ impl Server {
             std::thread::Builder::new()
                 .name("slime-serve-batcher".into())
                 .spawn(move || {
-                    if workers > 0 {
-                        slime_par::set_threads(workers);
-                    }
+                    // Thread-local: the process-wide count stays as is.
+                    slime_par::set_thread_cap(workers);
                     let mut engine = builder();
                     // Ignore send failure: start() only drops the receiver
                     // after a successful recv.
@@ -414,6 +413,30 @@ mod tests {
             || Box::new(ToyEngine { vocab: 50 }),
         )
         .expect("server boots")
+    }
+
+    #[test]
+    fn workers_cap_only_the_batcher_thread() {
+        let before = slime_par::num_threads();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let server = Server::start(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            move || {
+                let _ = seen_tx.send(slime_par::num_threads());
+                Box::new(ToyEngine { vocab: 50 })
+            },
+        )
+        .expect("server boots");
+        assert_eq!(seen_rx.recv().unwrap(), 1, "the engine builder runs capped");
+        assert_eq!(
+            slime_par::num_threads(),
+            before,
+            "the caller keeps its count"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub mod simd;
 mod tensor;
 
 pub use ndarray::{contiguous_strides, numel, NdArray};
-pub use serialize::{ArrayRecord, StateDict};
+pub use serialize::{ArrayRecord, CheckpointError, StateDict};
 pub use tensor::{nodes_allocated, Op, Tensor};

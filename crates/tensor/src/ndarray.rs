@@ -611,7 +611,7 @@ const MATMUL_CHUNK_FLOPS: usize = 1 << 16;
 /// The former `av == 0.0` skip is gone: on dense inputs (everything this
 /// workspace multiplies — activations, weights, gradients) the inner-loop
 /// branch cost more than it saved and blocked vectorization.
-fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
@@ -776,7 +776,14 @@ fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
 /// its 4-row `matmul4` blocking and streams `b` once per output row.
 /// Values are grid-independent (each output element is one k-ascending
 /// chain inside a single chunk), so the floor only changes locality.
-fn matmul_tn_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_tn_kernel(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if m == 0 || n == 0 {
         return;
     }

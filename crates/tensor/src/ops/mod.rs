@@ -50,7 +50,9 @@ pub use norm::{l2_normalize, layer_norm};
 pub use reduce::{mean_all, mean_axis, sum_all, sum_axis};
 pub use shape::{concat, gather_positions, index_axis, permute, reshape, slice_axis, unfold_time};
 pub use softmax::{log_softmax, softmax};
-pub use spectral::{spectral_filter, spectral_filter_mix, SpectralBranch};
+pub use spectral::{
+    spectral_filter, spectral_filter_mix, spectral_filter_mix_last, SpectralBranch,
+};
 
 use crate::ndarray::NdArray;
 use crate::tensor::{Op, Tensor};

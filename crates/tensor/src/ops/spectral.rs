@@ -1,4 +1,4 @@
-//! The fused frequency-domain filter op at the heart of SLIME4Rec.
+//! The fused frequency-domain filter ops at the heart of SLIME4Rec.
 //!
 //! Forward (paper Eqs. 12, 21, 25–27):
 //!
@@ -27,7 +27,16 @@
 //!
 //! Every transform — forward, replay and both adjoints — is a dense matmul
 //! against cached trig tables (`DftTables`), one `[N, D]` batch plane per
-//! parallel chunk.
+//! parallel chunk, and runs only over the *active band*: the bins from the
+//! first to the last where some branch has a nonzero `coef * mask[k]`.
+//! `F` is exactly zero outside it, so the skipped bins contribute nothing.
+//!
+//! [`spectral_filter_mix_last`] returns only the last time step. By the
+//! convolution theorem `y[b, t] = sum_s x[b, s] * kappa[(t - s) mod N]`
+//! with `kappa = irfft(F)`, so the last row is the O(B·N·D) correlation
+//! `y[b, N-1, c] = sum_t x[b, t, c] * kappa[N-1-t, c]`.
+
+use std::ops::Range;
 
 use slime_par::UnsafeSlice;
 
@@ -35,11 +44,18 @@ use crate::ndarray::NdArray;
 use crate::tensor::{Op, Tensor};
 
 /// Spectrum elements per parallel task of the `grad_F` reduction over
-/// frequency rows. A pure function of the shape, so the chunk grid — and
+/// frequency rows (and of the last-row op's `grad_kappa` reduction over
+/// time rows). A pure function of the shape, so the chunk grid — and
 /// therefore the result bits — never depend on the thread count.
 const POINTS_PER_CHUNK: usize = 4096;
 
-/// Cached rfft/irfft coefficient tables for one sequence length.
+/// Signal elements per parallel task of the last-row op's per-plane passes
+/// (forward and `grad_x`): a plane costs only O(N·D), so one plane per
+/// chunk would be all dispatch.
+const LAST_ROW_POINTS_PER_CHUNK: usize = 1 << 16;
+
+/// Cached rfft/irfft coefficient tables for one sequence length, all four
+/// stored k-major as `[M, N]` so any run of bins is a contiguous row slice.
 ///
 /// With `theta(k, t) = 2 pi (k * t mod n) / n` (reduced mod `n` in f64 so
 /// the angle stays accurate) and the irfft fold weights `c_k / n`
@@ -47,21 +63,21 @@ const POINTS_PER_CHUNK: usize = 4096;
 ///
 /// * `cre[k * n + t] =  cos(theta)`, `cim[k * n + t] = -sin(theta)`:
 ///   `X = rfft(x)` is `Xre = cre @ x`, `Xim = cim @ x` per `[N, D]` plane.
-/// * `dre[t * m + k] = (c_k / n) cos(theta)`, `dim[t * m + k] =
-///   -(c_k / n) sin(theta)`: `y = irfft(Y)` is `dre @ Yre + dim @ Yim`.
-///   The `dim` columns at DC and the even-`n` Nyquist bin are exactly
-///   zero — the conjugate-symmetry projection that discards those
-///   imaginary parts.
+/// * `dre[k * n + t] = (c_k / n) cos(theta)`, `dim[k * n + t] =
+///   -(c_k / n) sin(theta)`: `y = irfft(Y)` is `dre^T @ Yre + dim^T @ Yim`.
+///   The `dim` rows at DC and the even-`n` Nyquist bin are exactly zero —
+///   the conjugate-symmetry projection that discards those imaginary parts.
 ///
-/// The backward transforms are the transposes of these same tables (see
-/// `SpectralOp::backward`), which the `matmul_tn_rows` kernel reads in
-/// place.
+/// `matmul_tn_rows` reads every transpose in place, and accumulates in the
+/// same order as `matmul_rows` on a materialized transpose.
 ///
-/// Each transform costs O(N^2) per (batch, channel) pair against an FFT's
-/// O(N log N), but runs at vector width through the blocked row kernel
-/// with no per-pair plan lookup or scratch; the tables hold `4 * M * N`
-/// floats (~320 KB at N = 200) per thread and length.
+/// Each transform costs O(kb·N) per (batch, channel) pair for a band of
+/// `kb` bins, against an FFT's O(N log N), but runs at vector width
+/// through the blocked row kernels with no per-pair plan lookup or
+/// scratch; the tables hold `4 * M * N` floats (~320 KB at N = 200) per
+/// thread and length.
 struct DftTables {
+    n: usize,
     cre: Vec<f32>,
     cim: Vec<f32>,
     dre: Vec<f32>,
@@ -74,32 +90,42 @@ impl DftTables {
         let m = n / 2 + 1;
         let mut cre = vec![0.0f32; m * n];
         let mut cim = vec![0.0f32; m * n];
-        let mut dre = vec![0.0f32; n * m];
-        let mut dim = vec![0.0f32; n * m];
+        let mut dre = vec![0.0f32; m * n];
+        let mut dim = vec![0.0f32; m * n];
         for k in 0..m {
-            let ck = if k == 0 || (n % 2 == 0 && k == m - 1) {
-                1.0
-            } else {
-                2.0
-            };
-            let fold = ck / n as f64;
-            // Imaginary parts of the DC and even-n Nyquist bins are
-            // discarded by irfft; their fold columns are exactly zero.
-            let im_dropped = k == 0 || (n % 2 == 0 && k == m - 1);
+            // DC and the even-n Nyquist bin: fold weight 1, and irfft
+            // discards their imaginary parts, so those fold rows are zero.
+            let edge = k == 0 || (n.is_multiple_of(2) && k == m - 1);
+            let fold = (if edge { 1.0 } else { 2.0 }) / n as f64;
             for t in 0..n {
                 let theta = 2.0 * std::f64::consts::PI * ((k * t) % n) as f64 / n as f64;
                 let (sin, cos) = theta.sin_cos();
                 cre[k * n + t] = cos as f32;
                 cim[k * n + t] = -sin as f32;
-                dre[t * m + k] = (fold * cos) as f32;
-                dim[t * m + k] = if im_dropped {
-                    0.0
-                } else {
-                    (-fold * sin) as f32
-                };
+                dre[k * n + t] = (fold * cos) as f32;
+                dim[k * n + t] = if edge { 0.0 } else { (-fold * sin) as f32 };
             }
         }
-        DftTables { cre, cim, dre, dim }
+        DftTables {
+            n,
+            cre,
+            cim,
+            dre,
+            dim,
+        }
+    }
+
+    /// Rows `band` of the four tables, each a `[kb, N]` slice, in
+    /// `[cre, cim, dre, dim]` order.
+    fn rows(&self, band: &Range<usize>) -> [&[f32]; 4] {
+        let r = band.start * self.n..band.end * self.n;
+        debug_assert!(r.end <= self.cre.len(), "band past the Nyquist bin");
+        [
+            &self.cre[r.clone()],
+            &self.cim[r.clone()],
+            &self.dre[r.clone()],
+            &self.dim[r],
+        ]
     }
 }
 
@@ -156,9 +182,60 @@ pub fn spectral_filter(x: &Tensor, w_re: &Tensor, w_im: &Tensor, mask: &[f32]) -
 
 /// Apply a mixture of masked learnable frequency filters along the time axis
 /// of a `[B, N, D]` tensor.
-#[allow(clippy::needless_range_loop)] // strided gather/scatter over (b, k, c) planes
 pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
     let _prof = super::fwd_prof("spectral_filter_mix", x.len());
+    let (b, n, d) = assert_mix_operands(x, branches);
+    spectral_op(x, branches, Mix::of(branches), (b, n, d))
+}
+
+/// The full-sequence op over `mix`'s band, on operands already checked.
+fn spectral_op(
+    x: &Tensor,
+    branches: &[SpectralBranch],
+    mix: Mix,
+    (b, n, d): (usize, usize, usize),
+) -> Tensor {
+    let parents = mix_parents(x, branches);
+    let (out, xre, xim) = mix_forward(&parents, &mix, b, n, d);
+    Tensor::from_op(
+        NdArray::from_vec(vec![b, n, d], out),
+        parents,
+        Box::new(SpectralOp {
+            b,
+            n,
+            d,
+            xre: std::cell::RefCell::new(xre),
+            xim: std::cell::RefCell::new(xim),
+            mix,
+        }),
+    )
+}
+
+/// The last time step of [`spectral_filter_mix`]: `[B, N, D] -> [B, D]`,
+/// equal to `index_axis(spectral_filter_mix(x, branches), 1, N - 1)` up to
+/// rounding, at O(B·N·D) instead of two O(kb·N·D) transforms per plane.
+pub fn spectral_filter_mix_last(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
+    let _prof = super::fwd_prof("spectral_filter_mix_last", x.len());
+    let (b, n, d) = assert_mix_operands(x, branches);
+    let mix = Mix::of(branches);
+    let parents = mix_parents(x, branches);
+    let (out, kappa) = last_forward(&parents, &mix, b, n, d);
+    Tensor::from_op(
+        NdArray::from_vec(vec![b, d], out),
+        parents,
+        Box::new(SpectralLastOp {
+            b,
+            n,
+            d,
+            kappa: std::cell::RefCell::new(kappa),
+            mix,
+        }),
+    )
+}
+
+/// Validate `x: [B, N, D]` against every branch's `[M, D]` filter and
+/// length-`M` mask; returns `(B, N, D)`.
+fn assert_mix_operands(x: &Tensor, branches: &[SpectralBranch]) -> (usize, usize, usize) {
     assert!(!branches.is_empty(), "need at least one filter branch");
     let shape = x.shape();
     assert_eq!(shape.len(), 3, "spectral filter expects [B, N, D]");
@@ -170,47 +247,143 @@ pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
         assert_eq!(br.w_im.shape(), vec![m, d], "branch {i} w_im shape");
         assert_eq!(br.mask.len(), m, "branch {i} mask length");
     }
+    (b, n, d)
+}
 
-    let (fre, fim) = effective_filter(branches, m, d);
-    let data = x.data();
-    let (out, xre, xim) = spectral_transform(data.data(), &fre, &fim, b, n, d, m);
-    drop(data);
-
-    // F is pure scratch — hand it straight back to the buffer pool.
-    crate::pool::recycle(fre);
-    crate::pool::recycle(fim);
-
+/// `[x, w_re_0, w_im_0, w_re_1, w_im_1, ...]`: the op's parent list, whose
+/// tail is the weight pairs [`Mix::filter`] reads.
+fn mix_parents(x: &Tensor, branches: &[SpectralBranch]) -> Vec<Tensor> {
     let mut parents = Vec::with_capacity(1 + branches.len() * 2);
     parents.push(x.clone());
     for br in branches {
         parents.push(br.w_re.clone());
         parents.push(br.w_im.clone());
     }
-    Tensor::from_op(
-        NdArray::from_vec(vec![b, n, d], out),
-        parents,
-        Box::new(SpectralOp {
-            b,
-            n,
-            d,
-            xre: std::cell::RefCell::new(xre),
-            xim: std::cell::RefCell::new(xim),
-            masks: branches.iter().map(|br| br.mask.clone()).collect(),
-            coefs: branches.iter().map(|br| br.coef).collect(),
-        }),
-    )
+    parents
 }
 
-/// Shared transform body (eager construction and plan replay):
-/// `y = irfft(rfft(x) * F)` along the time axis. Returns
-/// `(out, xre, xim)` — the output signal and the saved forward spectrum
-/// planes the backward pass reads.
+/// The fixed part of a branch list — masks and coefficients — and the
+/// active band they leave.
+struct Mix {
+    masks: Vec<Vec<f32>>,
+    coefs: Vec<f32>,
+    band: Range<usize>,
+}
+
+impl Mix {
+    fn of(branches: &[SpectralBranch]) -> Mix {
+        let masks: Vec<Vec<f32>> = branches.iter().map(|b| b.mask.clone()).collect();
+        let coefs: Vec<f32> = branches.iter().map(|b| b.coef).collect();
+        let band = active_band(&masks, &coefs);
+        Mix { masks, coefs, band }
+    }
+
+    /// `F[k,c] = sum_i coef_i * mask_i[k] * W_i[k,c]` over the band, as
+    /// `[kb, D]` planes; `weights` holds the `(w_re, w_im)` pairs.
+    fn filter(&self, weights: &[Tensor], d: usize) -> (Vec<f32>, Vec<f32>) {
+        debug_assert_eq!(
+            weights.len(),
+            2 * self.masks.len(),
+            "a weight pair per mask"
+        );
+        let k0 = self.band.start;
+        let mut fre = crate::pool::take_filled(self.band.len() * d, 0.0);
+        let mut fim = crate::pool::take_filled(self.band.len() * d, 0.0);
+        for ((mask, &coef), w) in self.masks.iter().zip(&self.coefs).zip(weights.chunks(2)) {
+            let (wre, wim) = (w[0].data(), w[1].data());
+            let (wre, wim) = (wre.data(), wim.data());
+            for k in self.band.clone() {
+                let a = coef * mask[k];
+                if a == 0.0 {
+                    continue;
+                }
+                let r = (k - k0) * d;
+                for c in 0..d {
+                    fre[r + c] += a * wre[k * d + c];
+                    fim[r + c] += a * wim[k * d + c];
+                }
+            }
+        }
+        (fre, fim)
+    }
+
+    /// `grad_W_i = coef_i * mask_i[k] * grad_F[k]`, full `[M, D]` per
+    /// branch (zero outside the band), from the band's `[kb, D]` `grad_F`.
+    fn weight_grads(&self, dfre: &[f32], dfim: &[f32], m: usize, d: usize) -> Vec<Option<NdArray>> {
+        debug_assert!(dfre.len() == self.band.len() * d && dfim.len() == dfre.len());
+        let k0 = self.band.start;
+        let mut grads = Vec::with_capacity(2 * self.masks.len());
+        for (mask, &coef) in self.masks.iter().zip(&self.coefs) {
+            let mut dwre = crate::pool::take_filled(m * d, 0.0);
+            let mut dwim = crate::pool::take_filled(m * d, 0.0);
+            for k in self.band.clone() {
+                let a = coef * mask[k];
+                if a != 0.0 {
+                    let r = (k - k0) * d;
+                    for c in 0..d {
+                        dwre[k * d + c] = a * dfre[r + c];
+                        dwim[k * d + c] = a * dfim[r + c];
+                    }
+                }
+            }
+            grads.push(Some(NdArray::from_vec(vec![m, d], dwre)));
+            grads.push(Some(NdArray::from_vec(vec![m, d], dwim)));
+        }
+        grads
+    }
+}
+
+/// The bins from the first to the last where some branch has a nonzero
+/// `coef * mask[k]`; empty when no branch passes any bin. The filter is
+/// exactly zero outside this range.
+fn active_band(masks: &[Vec<f32>], coefs: &[f32]) -> Range<usize> {
+    debug_assert_eq!(masks.len(), coefs.len(), "one coefficient per branch mask");
+    let m = masks.first().map_or(0, Vec::len);
+    let live = |k: &usize| {
+        masks
+            .iter()
+            .zip(coefs)
+            .any(|(mask, &c)| c * mask[*k] != 0.0)
+    };
+    match ((0..m).find(live), (0..m).rev().find(live)) {
+        (Some(k0), Some(k1)) => k0..k1 + 1,
+        _ => 0..0,
+    }
+}
+
+/// Full-sequence forward body (eager construction and plan replay): the
+/// band's filter, then [`spectral_transform`]. Returns `(out, xre, xim)`.
+fn mix_forward(
+    parents: &[Tensor],
+    mix: &Mix,
+    b: usize,
+    n: usize,
+    d: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    debug_assert_eq!(
+        parents.len(),
+        1 + 2 * mix.masks.len(),
+        "signal plus weight pairs"
+    );
+    let (fre, fim) = mix.filter(&parents[1..], d);
+    let data = parents[0].data();
+    let res = spectral_transform(data.data(), &fre, &fim, b, n, d, &mix.band);
+    drop(data);
+    // F is pure scratch — hand it straight back to the buffer pool.
+    crate::pool::recycle(fre);
+    crate::pool::recycle(fim);
+    res
+}
+
+/// `y = irfft(rfft(x) * F)` along the time axis, over the bins of `band`
+/// only. Returns `(out, xre, xim)` — the output signal and the saved
+/// forward spectrum planes (`[B, kb, D]`) the backward pass reads.
 ///
 /// One chunk per `[N, D]` batch plane runs `X = C @ x`, `Y = X * F` into a
-/// chunk-local `[M, D]` scratch, then `y = dre @ Yre + dim @ Yim`; the row
-/// kernel accumulates into the zeroed output, so the two matmuls fold in a
-/// fixed order. The grid is a pure function of the shape, so results never
-/// depend on the thread count.
+/// chunk-local `[kb, D]` scratch, then `y = dre^T @ Yre + dim^T @ Yim`;
+/// the row kernels accumulate into the zeroed output, so the two matmuls
+/// fold in a fixed order. The grid is a pure function of the shape, so
+/// results never depend on the thread count.
 #[allow(clippy::needless_range_loop)] // elementwise product across four same-shape planes
 fn spectral_transform(
     src: &[f32],
@@ -219,16 +392,17 @@ fn spectral_transform(
     b: usize,
     n: usize,
     d: usize,
-    m: usize,
+    band: &Range<usize>,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let kb = band.len();
     debug_assert!(
-        src.len() == b * n * d && fre.len() == m * d && fim.len() == m * d,
-        "signal is [b, n, d] with [m, d] filter planes"
+        src.len() == b * n * d && fre.len() == kb * d && fim.len() == kb * d,
+        "signal is [b, n, d] with [kb, d] filter planes"
     );
-    let mut xre = crate::pool::take_filled(b * m * d, 0.0);
-    let mut xim = crate::pool::take_filled(b * m * d, 0.0);
+    let mut xre = crate::pool::take_filled(b * kb * d, 0.0);
+    let mut xim = crate::pool::take_filled(b * kb * d, 0.0);
     let mut out = crate::pool::take_filled(b * n * d, 0.0);
-    if d == 0 {
+    if d == 0 || kb == 0 {
         return (out, xre, xim);
     }
     {
@@ -237,26 +411,27 @@ fn spectral_transform(
         let wout = UnsafeSlice::new(&mut out);
         slime_par::parallel_for(b, 1, |lo, hi| {
             with_dft_tables(n, |tab| {
-                let mut scratch = crate::pool::take_filled(2 * m * d, 0.0);
-                let (yre, yim) = scratch.split_at_mut(m * d);
+                let [cre, cim, dre, dim] = tab.rows(band);
+                let mut scratch = crate::pool::take_filled(2 * kb * d, 0.0);
+                let (yre, yim) = scratch.split_at_mut(kb * d);
                 for bi in lo..hi {
                     let x_plane = &src[bi * n * d..(bi + 1) * n * d];
                     // SAFETY: each batch plane is claimed by exactly one
                     // chunk, so these per-plane slices are disjoint.
-                    // lint-proof(l8): wre[lo * m * d .. hi * m * d]
-                    // lint-proof(l8): wim[lo * m * d .. hi * m * d]
+                    // lint-proof(l8): wre[lo * kb * d .. hi * kb * d]
+                    // lint-proof(l8): wim[lo * kb * d .. hi * kb * d]
                     // lint-proof(l8): wout[lo * n * d .. hi * n * d]
-                    let ore = unsafe { wre.slice_mut(bi * m * d, m * d) };
-                    let oim = unsafe { wim.slice_mut(bi * m * d, m * d) };
+                    let ore = unsafe { wre.slice_mut(bi * kb * d, kb * d) };
+                    let oim = unsafe { wim.slice_mut(bi * kb * d, kb * d) };
                     let o = unsafe { wout.slice_mut(bi * n * d, n * d) };
-                    crate::ndarray::matmul_rows(&tab.cre, x_plane, ore, n, d);
-                    crate::ndarray::matmul_rows(&tab.cim, x_plane, oim, n, d);
-                    for i in 0..m * d {
+                    crate::ndarray::matmul_rows(cre, x_plane, ore, n, d);
+                    crate::ndarray::matmul_rows(cim, x_plane, oim, n, d);
+                    for i in 0..kb * d {
                         yre[i] = ore[i] * fre[i] - oim[i] * fim[i];
                         yim[i] = ore[i] * fim[i] + oim[i] * fre[i];
                     }
-                    crate::ndarray::matmul_rows(&tab.dre, yre, o, m, d);
-                    crate::ndarray::matmul_rows(&tab.dim, yim, o, m, d);
+                    crate::ndarray::matmul_tn_rows(dre, yre, o, 0, kb, n, d);
+                    crate::ndarray::matmul_tn_rows(dim, yim, o, 0, kb, n, d);
                 }
                 crate::pool::recycle(scratch);
             });
@@ -265,121 +440,81 @@ fn spectral_transform(
     (out, xre, xim)
 }
 
-/// `F[k,c] = sum_i coef_i * mask_i[k] * W_i[k,c]` from branch tensors.
-fn effective_filter_from(
-    masks: &[Vec<f32>],
-    coefs: &[f32],
-    weights: &[(NdArray, NdArray)],
-    m: usize,
-    d: usize,
-) -> (Vec<f32>, Vec<f32>) {
-    debug_assert_eq!(masks.len(), coefs.len(), "one coefficient per branch mask");
-    let mut fre = crate::pool::take_filled(m * d, 0.0);
-    let mut fim = crate::pool::take_filled(m * d, 0.0);
-    for ((mask, &coef), (wre, wim)) in masks.iter().zip(coefs).zip(weights) {
-        let wre = wre.data();
-        let wim = wim.data();
-        for k in 0..m {
-            let a = coef * mask[k];
-            if a == 0.0 {
-                continue;
-            }
-            for c in 0..d {
-                fre[k * d + c] += a * wre[k * d + c];
-                fim[k * d + c] += a * wim[k * d + c];
-            }
-        }
-    }
-    (fre, fim)
-}
-
-fn effective_filter(branches: &[SpectralBranch], m: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
-    let masks: Vec<Vec<f32>> = branches.iter().map(|b| b.mask.clone()).collect();
-    let coefs: Vec<f32> = branches.iter().map(|b| b.coef).collect();
-    let weights: Vec<(NdArray, NdArray)> = branches
-        .iter()
-        .map(|b| (b.w_re.value(), b.w_im.value()))
-        .collect();
-    effective_filter_from(&masks, &coefs, &weights, m, d)
-}
-
 struct SpectralOp {
     b: usize,
     n: usize,
     d: usize,
-    /// Saved forward spectrum, `[B, M, D]` planes (refreshed on replay).
+    /// Saved forward spectrum over the band, `[B, kb, D]` planes
+    /// (refreshed on replay).
     xre: std::cell::RefCell<Vec<f32>>,
     xim: std::cell::RefCell<Vec<f32>>,
-    masks: Vec<Vec<f32>>,
-    coefs: Vec<f32>,
+    mix: Mix,
 }
 
 impl Op for SpectralOp {
     #[allow(clippy::needless_range_loop)] // strided gather/scatter over (b, k, c) planes
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
         let (b, n, d) = (self.b, self.n, self.d);
-        let m = n / 2 + 1;
+        let band = &self.mix.band;
+        let kb = band.len();
         let g = grad.data();
         debug_assert_eq!(g.len(), b * n * d, "grad is [b, n, d]");
 
         // Recompute F from the (unchanged) parent weights.
-        let weights: Vec<(NdArray, NdArray)> = parents[1..]
-            .chunks(2)
-            .map(|p| (p[0].value(), p[1].value()))
-            .collect();
-        let (fre, fim) = effective_filter_from(&self.masks, &self.coefs, &weights, m, d);
+        let (fre, fim) = self.mix.filter(&parents[1..], d);
 
-        // One chunk per batch plane. `G = (c_k/N) rfft(grad_y)` is exactly
-        // the transpose of the irfft fold tables — `Gre = dre^T @ grad_y`,
-        // `Gim = dim^T @ grad_y` — with the zeroed `dim` columns supplying
-        // the "no gradient to discarded imaginary parts" rule. Then
-        // `grad_X = G * conj(F)` goes into a chunk-local `[M, D]` scratch
+        // One chunk per batch plane. `G = (c_k/N) rfft(grad_y)` is the
+        // irfft fold tables applied untransposed — `Gre = dre @ grad_y`,
+        // `Gim = dim @ grad_y` — with the zeroed `dim` rows supplying the
+        // "no gradient to discarded imaginary parts" rule. Then
+        // `grad_X = G * conj(F)` goes into a chunk-local `[kb, D]` scratch
         // and the rfft adjoint is the transposed forward tables:
         // `grad_x = cre^T @ Zre + cim^T @ Zim`, accumulated in a fixed
         // order. `matmul_tn_rows` reads every transpose in place.
-        let mut gre = crate::pool::take_filled(b * m * d, 0.0);
-        let mut gim = crate::pool::take_filled(b * m * d, 0.0);
+        let mut gre = crate::pool::take_filled(b * kb * d, 0.0);
+        let mut gim = crate::pool::take_filled(b * kb * d, 0.0);
         let mut dx = crate::pool::take_filled(b * n * d, 0.0);
-        if d > 0 {
+        if d > 0 && kb > 0 {
             let wre = UnsafeSlice::new(&mut gre);
             let wim = UnsafeSlice::new(&mut gim);
             let wdx = UnsafeSlice::new(&mut dx);
             let (fre, fim) = (&fre, &fim);
             slime_par::parallel_for(b, 1, |lo, hi| {
                 with_dft_tables(n, |tab| {
-                    let mut scratch = crate::pool::take_filled(2 * m * d, 0.0);
-                    let (zre, zim) = scratch.split_at_mut(m * d);
+                    let [cre, cim, dre, dim] = tab.rows(band);
+                    let mut scratch = crate::pool::take_filled(2 * kb * d, 0.0);
+                    let (zre, zim) = scratch.split_at_mut(kb * d);
                     for bi in lo..hi {
                         let g_plane = &g[bi * n * d..(bi + 1) * n * d];
                         // SAFETY: disjoint per-plane slices (one chunk per
                         // batch index).
-                        // lint-proof(l8): wre[lo * m * d .. hi * m * d]
-                        // lint-proof(l8): wim[lo * m * d .. hi * m * d]
+                        // lint-proof(l8): wre[lo * kb * d .. hi * kb * d]
+                        // lint-proof(l8): wim[lo * kb * d .. hi * kb * d]
                         // lint-proof(l8): wdx[lo * n * d .. hi * n * d]
-                        let ore = unsafe { wre.slice_mut(bi * m * d, m * d) };
-                        let oim = unsafe { wim.slice_mut(bi * m * d, m * d) };
+                        let ore = unsafe { wre.slice_mut(bi * kb * d, kb * d) };
+                        let oim = unsafe { wim.slice_mut(bi * kb * d, kb * d) };
                         let o = unsafe { wdx.slice_mut(bi * n * d, n * d) };
-                        crate::ndarray::matmul_tn_rows(&tab.dre, g_plane, ore, 0, n, m, d);
-                        crate::ndarray::matmul_tn_rows(&tab.dim, g_plane, oim, 0, n, m, d);
-                        for i in 0..m * d {
+                        crate::ndarray::matmul_rows(dre, g_plane, ore, n, d);
+                        crate::ndarray::matmul_rows(dim, g_plane, oim, n, d);
+                        for i in 0..kb * d {
                             zre[i] = ore[i] * fre[i] + oim[i] * fim[i];
                             zim[i] = oim[i] * fre[i] - ore[i] * fim[i];
                         }
-                        crate::ndarray::matmul_tn_rows(&tab.cre, zre, o, 0, m, n, d);
-                        crate::ndarray::matmul_tn_rows(&tab.cim, zim, o, 0, m, n, d);
+                        crate::ndarray::matmul_tn_rows(cre, zre, o, 0, kb, n, d);
+                        crate::ndarray::matmul_tn_rows(cim, zim, o, 0, kb, n, d);
                     }
                     crate::pool::recycle(scratch);
                 });
             });
         }
 
-        // grad_F[k,c] = sum_b G * conj(X). Parallel over frequency-bin rows:
+        // grad_F[k,c] = sum_b G * conj(X). Parallel over the band's rows:
         // each chunk owns the rows `k0..k1` of the accumulator outright and
         // sums its batch contributions in ascending-`bi` order — the same
         // order as the serial loop — so the reduction is bitwise stable
         // regardless of thread count.
-        let mut dfre = crate::pool::take_filled(m * d, 0.0);
-        let mut dfim = crate::pool::take_filled(m * d, 0.0);
+        let mut dfre = crate::pool::take_filled(kb * d, 0.0);
+        let mut dfim = crate::pool::take_filled(kb * d, 0.0);
         let xre_guard = self.xre.borrow();
         let xim_guard = self.xim.borrow();
         let (xre, xim): (&[f32], &[f32]) = (&xre_guard, &xim_guard);
@@ -388,8 +523,8 @@ impl Op for SpectralOp {
             let wdim = UnsafeSlice::new(&mut dfim);
             let (gre, gim) = (&gre, &gim);
             let rows_per_chunk = (POINTS_PER_CHUNK / (b * d).max(1)).max(1);
-            slime_par::parallel_for(m, rows_per_chunk, |k0, k1| {
-                // SAFETY: chunks partition `0..m`, so these row ranges are
+            slime_par::parallel_for(kb, rows_per_chunk, |k0, k1| {
+                // SAFETY: chunks partition `0..kb`, so these row ranges are
                 // disjoint across tasks.
                 // lint-proof(l8): wdre[k0 * d .. k1 * d]
                 // lint-proof(l8): wdim[k0 * d .. k1 * d]
@@ -398,7 +533,7 @@ impl Op for SpectralOp {
                 for bi in 0..b {
                     for k in k0..k1 {
                         for c in 0..d {
-                            let i = (bi * m + k) * d + c;
+                            let i = (bi * kb + k) * d + c;
                             let w = (k - k0) * d + c;
                             dre[w] += gre[i] * xre[i] + gim[i] * xim[i];
                             dim[w] += gim[i] * xre[i] - gre[i] * xim[i];
@@ -409,21 +544,7 @@ impl Op for SpectralOp {
         }
 
         let mut grads: Vec<Option<NdArray>> = vec![Some(NdArray::from_vec(vec![b, n, d], dx))];
-        for (mask, &coef) in self.masks.iter().zip(&self.coefs) {
-            let mut dwre = crate::pool::take_filled(m * d, 0.0);
-            let mut dwim = crate::pool::take_filled(m * d, 0.0);
-            for k in 0..m {
-                let a = coef * mask[k];
-                if a != 0.0 {
-                    for c in 0..d {
-                        dwre[k * d + c] = a * dfre[k * d + c];
-                        dwim[k * d + c] = a * dfim[k * d + c];
-                    }
-                }
-            }
-            grads.push(Some(NdArray::from_vec(vec![m, d], dwre)));
-            grads.push(Some(NdArray::from_vec(vec![m, d], dwim)));
-        }
+        grads.extend(self.mix.weight_grads(&dfre, &dfim, n / 2 + 1, d));
         // Everything else was backward-local scratch; recycle it.
         for buf in [gre, gim, fre, fim, dfre, dfim] {
             crate::pool::recycle(buf);
@@ -437,20 +558,14 @@ impl Op for SpectralOp {
         true
     }
     fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
+        debug_assert_eq!(
+            parents.len(),
+            1 + 2 * self.mix.masks.len(),
+            "signal plus weight pairs"
+        );
         let _prof = super::fwd_prof("spectral_filter_mix", parents[0].len());
-        debug_assert_eq!(parents.len() % 2, 1, "signal plus (re, im) weight pairs");
         let (b, n, d) = (self.b, self.n, self.d);
-        let m = n / 2 + 1;
-        let weights: Vec<(NdArray, NdArray)> = parents[1..]
-            .chunks(2)
-            .map(|p| (p[0].value(), p[1].value()))
-            .collect();
-        let (fre, fim) = effective_filter_from(&self.masks, &self.coefs, &weights, m, d);
-        let data = parents[0].data();
-        let (out, xre, xim) = spectral_transform(data.data(), &fre, &fim, b, n, d, m);
-        drop(data);
-        crate::pool::recycle(fre);
-        crate::pool::recycle(fim);
+        let (out, xre, xim) = mix_forward(parents, &self.mix, b, n, d);
         crate::pool::recycle(std::mem::replace(&mut *self.xre.borrow_mut(), xre));
         crate::pool::recycle(std::mem::replace(&mut *self.xim.borrow_mut(), xim));
         Some(NdArray::from_vec(vec![b, n, d], out))
@@ -463,6 +578,178 @@ impl Drop for SpectralOp {
         // recycle them by hand when the graph node dies.
         crate::pool::recycle(self.xre.take());
         crate::pool::recycle(self.xim.take());
+    }
+}
+
+/// Batch planes per parallel task of the last-row op's per-plane passes.
+fn planes_per_chunk(n: usize, d: usize) -> usize {
+    (LAST_ROW_POINTS_PER_CHUNK / (n * d).max(1)).max(1)
+}
+
+/// Last-row forward body (eager construction and plan replay): the
+/// kernel `kappa = irfft(F)` (`[N, D]`), then the per-plane correlation
+/// with it. Returns `(out, kappa)`; the backward pass reads `kappa`.
+fn last_forward(
+    parents: &[Tensor],
+    mix: &Mix,
+    b: usize,
+    n: usize,
+    d: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    debug_assert_eq!(
+        parents.len(),
+        1 + 2 * mix.masks.len(),
+        "signal plus weight pairs"
+    );
+    let kb = mix.band.len();
+    let mut kappa = crate::pool::take_filled(n * d, 0.0);
+    if d > 0 && kb > 0 {
+        // kappa = dre^T @ Fre + dim^T @ Fim over the band: the irfft of the
+        // filter, with the same conjugate-symmetry projection as the
+        // full-sequence path.
+        let (fre, fim) = mix.filter(&parents[1..], d);
+        with_dft_tables(n, |tab| {
+            let [_, _, dre, dim] = tab.rows(&mix.band);
+            crate::ndarray::matmul_tn_kernel(dre, &fre, &mut kappa, n, kb, d);
+            crate::ndarray::matmul_tn_kernel(dim, &fim, &mut kappa, n, kb, d);
+        });
+        crate::pool::recycle(fre);
+        crate::pool::recycle(fim);
+    }
+
+    // y[b, c] = sum_t x[b, t, c] * kappa[N-1-t, c], t ascending.
+    let src = parents[0].data();
+    let src = src.data();
+    debug_assert_eq!(src.len(), b * n * d, "signal is [b, n, d]");
+    let mut out = crate::pool::take_filled(b * d, 0.0);
+    if d > 0 {
+        let w = UnsafeSlice::new(&mut out);
+        let kappa = &kappa;
+        slime_par::parallel_for(b, planes_per_chunk(n, d), |lo, hi| {
+            // SAFETY: chunks partition the batch planes, so these output
+            // row ranges are disjoint across tasks.
+            // lint-proof(l8): w[lo * d .. hi * d]
+            let o = unsafe { w.slice_mut(lo * d, (hi - lo) * d) };
+            for (row, plane) in o
+                .chunks_exact_mut(d)
+                .zip(src[lo * n * d..hi * n * d].chunks_exact(n * d))
+            {
+                for (xt, kt) in plane.chunks_exact(d).zip(kappa.chunks_exact(d).rev()) {
+                    for ((y, &xv), &kv) in row.iter_mut().zip(xt).zip(kt) {
+                        *y += xv * kv;
+                    }
+                }
+            }
+        });
+    }
+    (out, kappa)
+}
+
+struct SpectralLastOp {
+    b: usize,
+    n: usize,
+    d: usize,
+    /// `kappa = irfft(F)`, `[N, D]` (refreshed on replay).
+    kappa: std::cell::RefCell<Vec<f32>>,
+    mix: Mix,
+}
+
+impl Op for SpectralLastOp {
+    fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
+        let (b, n, d) = (self.b, self.n, self.d);
+        let kb = self.mix.band.len();
+        let g = grad.data();
+        debug_assert_eq!(g.len(), b * d, "grad is [b, d]");
+        let kappa_guard = self.kappa.borrow();
+        let kappa: &[f32] = &kappa_guard;
+        let x = parents[0].data();
+        let x = x.data();
+        debug_assert_eq!(x.len(), b * n * d, "signal is [b, n, d]");
+
+        let mut dx = crate::pool::take_filled(b * n * d, 0.0);
+        let mut gk = crate::pool::take_filled(n * d, 0.0);
+        if d > 0 {
+            // grad_x[b, t, c] = g[b, c] * kappa[N-1-t, c], per batch plane.
+            let wdx = UnsafeSlice::new(&mut dx);
+            slime_par::parallel_for(b, planes_per_chunk(n, d), |lo, hi| {
+                // SAFETY: chunks partition the batch planes.
+                // lint-proof(l8): wdx[lo * n * d .. hi * n * d]
+                let o = unsafe { wdx.slice_mut(lo * n * d, (hi - lo) * n * d) };
+                for (plane, gb) in o
+                    .chunks_exact_mut(n * d)
+                    .zip(g[lo * d..hi * d].chunks_exact(d))
+                {
+                    for (ot, kt) in plane.chunks_exact_mut(d).zip(kappa.chunks_exact(d).rev()) {
+                        for ((o, &gv), &kv) in ot.iter_mut().zip(gb).zip(kt) {
+                            *o = gv * kv;
+                        }
+                    }
+                }
+            });
+
+            // grad_kappa[j, c] = sum_b g[b, c] * x[b, N-1-j, c]. Parallel
+            // over kappa rows: each chunk owns rows `j0..j1` outright and
+            // sums batch contributions in ascending `bi`, so the bits never
+            // depend on the thread count.
+            let wgk = UnsafeSlice::new(&mut gk);
+            let rows_per_chunk = (POINTS_PER_CHUNK / (b * d).max(1)).max(1);
+            slime_par::parallel_for(n, rows_per_chunk, |j0, j1| {
+                // SAFETY: chunks partition `0..n`.
+                // lint-proof(l8): wgk[j0 * d .. j1 * d]
+                let o = unsafe { wgk.slice_mut(j0 * d, (j1 - j0) * d) };
+                for (gb, plane) in g.chunks_exact(d).zip(x.chunks_exact(n * d)) {
+                    for (j, oj) in (j0..j1).zip(o.chunks_exact_mut(d)) {
+                        let xt = &plane[(n - 1 - j) * d..(n - j) * d];
+                        for ((o, &gv), &xv) in oj.iter_mut().zip(gb).zip(xt) {
+                            *o += gv * xv;
+                        }
+                    }
+                }
+            });
+        }
+
+        // grad_F = dre @ grad_kappa, dim @ grad_kappa over the band: the
+        // transpose of the kernel's irfft.
+        let mut dfre = crate::pool::take_filled(kb * d, 0.0);
+        let mut dfim = crate::pool::take_filled(kb * d, 0.0);
+        if d > 0 && kb > 0 {
+            with_dft_tables(n, |tab| {
+                let [_, _, dre, dim] = tab.rows(&self.mix.band);
+                crate::ndarray::matmul_kernel(dre, &gk, &mut dfre, kb, n, d);
+                crate::ndarray::matmul_kernel(dim, &gk, &mut dfim, kb, n, d);
+            });
+        }
+
+        let mut grads: Vec<Option<NdArray>> = vec![Some(NdArray::from_vec(vec![b, n, d], dx))];
+        grads.extend(self.mix.weight_grads(&dfre, &dfim, n / 2 + 1, d));
+        for buf in [gk, dfre, dfim] {
+            crate::pool::recycle(buf);
+        }
+        grads
+    }
+    fn name(&self) -> &'static str {
+        "spectral_filter_mix_last"
+    }
+    fn replayable(&self) -> bool {
+        true
+    }
+    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
+        debug_assert_eq!(
+            parents.len(),
+            1 + 2 * self.mix.masks.len(),
+            "signal plus weight pairs"
+        );
+        let _prof = super::fwd_prof("spectral_filter_mix_last", parents[0].len());
+        let (b, n, d) = (self.b, self.n, self.d);
+        let (out, kappa) = last_forward(parents, &self.mix, b, n, d);
+        crate::pool::recycle(std::mem::replace(&mut *self.kappa.borrow_mut(), kappa));
+        Some(NdArray::from_vec(vec![b, d], out))
+    }
+}
+
+impl Drop for SpectralLastOp {
+    fn drop(&mut self) {
+        crate::pool::recycle(self.kappa.take());
     }
 }
 
@@ -612,8 +899,8 @@ mod tests {
                 }
             });
             let mut y = vec![0.0f32; n];
-            crate::ndarray::matmul_rows(&tab.dre, &xre, &mut y, m, 1);
-            crate::ndarray::matmul_rows(&tab.dim, &xim, &mut y, m, 1);
+            crate::ndarray::matmul_tn_rows(&tab.dre, &xre, &mut y, 0, m, n, 1);
+            crate::ndarray::matmul_tn_rows(&tab.dim, &xim, &mut y, 0, m, n, 1);
             for (t, (a, b)) in y.iter().zip(&x).enumerate() {
                 assert!((a - b).abs() < 1e-4, "n={n} roundtrip t={t}: {a} vs {b}");
             }
@@ -670,6 +957,169 @@ mod tests {
                 bits(br.w_re.grad().unwrap()),
                 bits(br.w_im.grad().unwrap()),
             ]
+        };
+        let prev = slime_par::num_threads();
+        slime_par::set_threads(1);
+        let one = run();
+        slime_par::set_threads(2);
+        let two = run();
+        slime_par::set_threads(prev);
+        assert!(one == two, "results differ between 1 and 2 threads");
+    }
+
+    fn ramp(len: usize, scale: f32, phase: f32) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i as f32 + phase) * scale).sin())
+            .collect()
+    }
+
+    /// Two masked branches at `gamma = 0.3` over `[m, d]` filters.
+    fn two_branches(m: usize, d: usize, mask_d: Vec<f32>, mask_s: Vec<f32>) -> [SpectralBranch; 2] {
+        let param = |phase| Tensor::param(NdArray::from_vec(vec![m, d], ramp(m * d, 0.29, phase)));
+        [
+            SpectralBranch {
+                w_re: param(0.0),
+                w_im: param(1.0),
+                mask: mask_d,
+                coef: 0.7,
+            },
+            SpectralBranch {
+                w_re: param(2.0),
+                w_im: param(3.0),
+                mask: mask_s,
+                coef: 0.3,
+            },
+        ]
+    }
+
+    /// Indicator of the bins `lo..hi` out of `m`.
+    fn window(m: usize, lo: usize, hi: usize) -> Vec<f32> {
+        (0..m)
+            .map(|k| if (lo..hi).contains(&k) { 1.0 } else { 0.0 })
+            .collect()
+    }
+
+    fn assert_close(a: &NdArray, b: &NdArray, tol: f32, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shapes");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert!((x - y).abs() <= tol, "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
+    /// Forward and every gradient of `sum(y * w)` for a `y` built by `op`.
+    fn value_and_grads(
+        x: &Tensor,
+        branches: &[SpectralBranch],
+        op: impl Fn(&Tensor, &[SpectralBranch]) -> Tensor,
+    ) -> Vec<NdArray> {
+        for t in std::iter::once(x).chain(branches.iter().flat_map(|b| [&b.w_re, &b.w_im])) {
+            t.zero_grad();
+        }
+        let y = op(x, branches);
+        let w = Tensor::constant(NdArray::from_vec(y.shape(), ramp(y.len(), 0.77, 0.5)));
+        sum_all(&mul(&y, &w)).backward();
+        let mut out = vec![y.value(), x.grad().unwrap()];
+        for br in branches {
+            out.push(br.w_re.grad().unwrap());
+            out.push(br.w_im.grad().unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn last_row_matches_the_full_transform_at_the_last_step() {
+        // Even and odd n, up to the ML-1M length, with a partial band
+        // (the two windows leave the low bins out) and a full one.
+        for n in [7usize, 8, 50, 200] {
+            let (bsz, d) = (3, 4);
+            let m = n / 2 + 1;
+            for (lo_d, lo_s) in [(m / 2, m / 3), (1, 0)] {
+                let branches = two_branches(m, d, window(m, lo_d, m), window(m, lo_s, m / 2 + 1));
+                let x = Tensor::param(NdArray::from_vec(
+                    vec![bsz, n, d],
+                    ramp(bsz * n * d, 0.13, 0.0),
+                ));
+                let last = value_and_grads(&x, &branches, spectral_filter_mix_last);
+                let full = value_and_grads(&x, &branches, |x, br| {
+                    crate::ops::index_axis(&spectral_filter_mix(x, br), 1, n - 1)
+                });
+                for (i, (a, b)) in last.iter().zip(&full).enumerate() {
+                    assert_close(a, b, 2e-4, &format!("n={n} lo=({lo_d},{lo_s}) output {i}"));
+                }
+            }
+        }
+    }
+
+    /// `spectral_filter_mix` with its band forced to `band`.
+    fn mix_over_band(x: &Tensor, branches: &[SpectralBranch], band: Range<usize>) -> Tensor {
+        let shape = assert_mix_operands(x, branches);
+        let mix = Mix {
+            band,
+            ..Mix::of(branches)
+        };
+        spectral_op(x, branches, mix, shape)
+    }
+
+    #[test]
+    fn active_band_bounds_every_live_bin() {
+        let m = 101;
+        // Slide mode 4 at N = 200, layer 0 of 2: both windows in the top half.
+        let masks = vec![window(m, 50, 101), window(m, 51, 101)];
+        assert_eq!(active_band(&masks, &[0.6, 0.4]), 50..101);
+        // A zero coefficient retires its branch's window.
+        assert_eq!(active_band(&masks, &[0.0, 1.0]), 51..101);
+        // Disjoint windows: the band spans the gap between them.
+        let split = vec![window(m, 0, 10), window(m, 90, 95)];
+        assert_eq!(active_band(&split, &[0.5, 0.5]), 0..95);
+        assert!(active_band(&[vec![0.0; m]], &[1.0]).is_empty());
+    }
+
+    #[test]
+    fn band_matches_the_full_transform() {
+        let (bsz, n, d) = (2, 50, 3);
+        let m = n / 2 + 1;
+        // A mode-4-like pair (both windows high: band 13..26), a mode-1-like
+        // pair (DFS high, SFS low: full band) and an all-zero pair.
+        let pairs = [
+            (window(m, 13, m), window(m, 17, m)),
+            (window(m, 10, m), window(m, 0, 13)),
+            (vec![0.0; m], vec![0.0; m]),
+        ];
+        for (mask_d, mask_s) in pairs {
+            let branches = two_branches(m, d, mask_d, mask_s);
+            let x = Tensor::param(NdArray::from_vec(
+                vec![bsz, n, d],
+                ramp(bsz * n * d, 0.41, 0.0),
+            ));
+            let band = Mix::of(&branches).band;
+            let banded = value_and_grads(&x, &branches, spectral_filter_mix);
+            let full = value_and_grads(&x, &branches, |x, br| mix_over_band(x, br, 0..m));
+            for (i, (a, b)) in banded.iter().zip(&full).enumerate() {
+                assert_close(a, b, 1e-5, &format!("band {band:?} output {i}"));
+            }
+            if band.is_empty() {
+                assert!(banded.iter().all(|a| a.data().iter().all(|&v| v == 0.0)));
+            }
+        }
+    }
+
+    #[test]
+    fn filter_mix_last_is_bitwise_stable_across_thread_counts() {
+        // 90 planes of [200, 8] split into several chunks on every pass
+        // (planes, kappa rows and the kernel's own row grid).
+        let (bsz, n, d) = (90, 200, 8);
+        let m = n / 2 + 1;
+        let run = || {
+            let branches = two_branches(m, d, window(m, 50, m), window(m, 51, m));
+            let x = Tensor::param(NdArray::from_vec(
+                vec![bsz, n, d],
+                ramp(bsz * n * d, 0.31, 0.0),
+            ));
+            let bits = |a: &NdArray| a.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            value_and_grads(&x, &branches, spectral_filter_mix_last)
+                .iter()
+                .map(bits)
+                .collect::<Vec<_>>()
         };
         let prev = slime_par::num_threads();
         slime_par::set_threads(1);

@@ -36,6 +36,60 @@ impl FromJson for ArrayRecord {
     }
 }
 
+/// Why a checkpoint record cannot be loaded into a parameter.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CheckpointError {
+    /// The model has a parameter the checkpoint does not name.
+    Missing(String),
+    /// A record's data length disagrees with its own shape.
+    Length {
+        /// Parameter name.
+        name: String,
+        /// The record's shape.
+        shape: Vec<usize>,
+        /// The record's data length.
+        len: usize,
+    },
+    /// A record's shape disagrees with the model's parameter.
+    Shape {
+        /// Parameter name.
+        name: String,
+        /// The parameter's shape.
+        want: Vec<usize>,
+        /// The record's shape.
+        got: Vec<usize>,
+    },
+    /// A record holds NaN or ±Inf (JSON has no such literals, but a
+    /// number past `f32::MAX`, such as `1e39`, parses to infinity).
+    NonFinite {
+        /// Parameter name.
+        name: String,
+        /// Flat index of the first non-finite value.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Missing(name) => write!(f, "missing parameter {name:?} in checkpoint"),
+            CheckpointError::Length { name, shape, len } => write!(
+                f,
+                "parameter {name:?}: shape {shape:?} does not match data length {len}"
+            ),
+            CheckpointError::Shape { name, want, got } => write!(
+                f,
+                "parameter {name:?}: checkpoint shape {got:?}, model expects {want:?}"
+            ),
+            CheckpointError::NonFinite { name, index } => {
+                write!(f, "parameter {name:?}: non-finite value at index {index}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
 /// A named collection of parameter values (like a PyTorch `state_dict`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StateDict {
@@ -101,6 +155,37 @@ impl StateDict {
         t.set_data(NdArray::from_vec(rec.shape.clone(), rec.data.clone()));
     }
 
+    /// The record for `name`, checked for loading into a parameter of
+    /// shape `shape`: present, its data length matching its own shape,
+    /// that shape matching `shape`, and every value finite.
+    pub fn checked(&self, name: &str, shape: &[usize]) -> Result<&ArrayRecord, CheckpointError> {
+        let rec = self
+            .entries
+            .get(name)
+            .ok_or_else(|| CheckpointError::Missing(name.to_string()))?;
+        if rec.shape.iter().product::<usize>() != rec.data.len() {
+            return Err(CheckpointError::Length {
+                name: name.to_string(),
+                shape: rec.shape.clone(),
+                len: rec.data.len(),
+            });
+        }
+        if rec.shape != shape {
+            return Err(CheckpointError::Shape {
+                name: name.to_string(),
+                want: shape.to_vec(),
+                got: rec.shape.clone(),
+            });
+        }
+        match rec.data.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(CheckpointError::NonFinite {
+                name: name.to_string(),
+                index,
+            }),
+            None => Ok(rec),
+        }
+    }
+
     /// Names stored in the dict, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(|s| s.as_str())
@@ -151,6 +236,35 @@ mod tests {
     fn missing_name_rejected() {
         let sd = StateDict::new();
         sd.load_into("nope", &Tensor::param(NdArray::scalar(0.0)));
+    }
+
+    #[test]
+    fn checked_names_each_defect() {
+        let mut sd = StateDict::new();
+        sd.insert("w", &Tensor::param(NdArray::zeros(vec![2, 2])));
+        assert!(sd.checked("w", &[2, 2]).is_ok());
+        assert_eq!(
+            sd.checked("v", &[2, 2]),
+            Err(CheckpointError::Missing("v".into()))
+        );
+        assert!(matches!(
+            sd.checked("w", &[4]),
+            Err(CheckpointError::Shape { .. })
+        ));
+        let rec = sd.entries.get_mut("w").unwrap();
+        rec.data[3] = f32::INFINITY;
+        assert_eq!(
+            sd.checked("w", &[2, 2]),
+            Err(CheckpointError::NonFinite {
+                name: "w".into(),
+                index: 3
+            })
+        );
+        sd.entries.get_mut("w").unwrap().data.pop();
+        assert!(matches!(
+            sd.checked("w", &[2, 2]),
+            Err(CheckpointError::Length { len: 3, .. })
+        ));
     }
 
     #[test]

@@ -251,6 +251,56 @@ fn gradcheck_spectral_filter_mix() {
     }
 }
 
+/// The last-row filter op: the kernel adjoint (`grad_kappa` through the
+/// transposed irfft tables) and the per-plane `grad_x`, for even and odd N
+/// with two masked branches whose band leaves the low bins out.
+#[test]
+#[allow(clippy::needless_range_loop)]
+fn gradcheck_spectral_filter_mix_last() {
+    for (n, seed) in [(8usize, 52u64), (7, 53), (12, 54)] {
+        let d = 2;
+        let m = n / 2 + 1;
+        let x = rand_param(&[3, n, d], seed);
+        let wd_re = rand_param(&[m, d], seed + 100);
+        let wd_im = rand_param(&[m, d], seed + 200);
+        let ws_re = rand_param(&[m, d], seed + 300);
+        let ws_im = rand_param(&[m, d], seed + 400);
+        // Dynamic window over the top half, static over [2, m - 1).
+        let mut mask_d = vec![0.0f32; m];
+        for k in m / 2..m {
+            mask_d[k] = 1.0;
+        }
+        let mut mask_s = vec![0.0f32; m];
+        for k in 2..m - 1 {
+            mask_s[k] = 1.0;
+        }
+        let gamma = 0.3;
+        let wconst = Tensor::constant(NdArray::from_vec(
+            vec![3, d],
+            (0..3 * d).map(|i| (i as f32 * 0.77).cos()).collect(),
+        ));
+        let build = || {
+            let branches = [
+                ops::SpectralBranch {
+                    w_re: wd_re.clone(),
+                    w_im: wd_im.clone(),
+                    mask: mask_d.clone(),
+                    coef: 1.0 - gamma,
+                },
+                ops::SpectralBranch {
+                    w_re: ws_re.clone(),
+                    w_im: ws_im.clone(),
+                    mask: mask_s.clone(),
+                    coef: gamma,
+                },
+            ];
+            let y = ops::spectral_filter_mix_last(&x, &branches);
+            ops::mean_all(&ops::mul(&ops::mul(&y, &y), &wconst))
+        };
+        assert_gradients_match(&[&x, &wd_re, &wd_im, &ws_re, &ws_im], build, TOL);
+    }
+}
+
 #[test]
 fn gradcheck_spectral_filter_long_sequence() {
     // The ML-1M sequence length (n = 200): the table-matmul adjoints must

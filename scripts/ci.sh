@@ -65,6 +65,10 @@
 #                        exits nonzero unless every request succeeds and
 #                        at least one micro-batch gathered more than one
 #                        request; also asserts clean daemon termination
+#  16. corrupt checkpoint a copy of the step-14 model with one weight set
+#                        to 1e39 (infinity as f32): `slime4rec evaluate`
+#                        must refuse it with an error and exit 1, not
+#                        panic (exit 101) or score with it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -176,5 +180,19 @@ echo "==> slime4rec serve --smoke (daemon smoke over TCP)"
     echo "daemon smoke did not report 'smoke ok'" >&2
     exit 1
 }
+
+# A checkpoint that parses but cannot be loaded is an input error: the CLI
+# names the bad record and exits 1 instead of panicking.
+echo "==> slime4rec evaluate refuses a corrupt checkpoint"
+cp -r "$CI_RUN/model" "$CI_RUN/bad-model"
+sed -i '0,/"data":\[[^],]*/s//"data":[1e39/' "$CI_RUN/bad-model/weights.json"
+status=0
+./target/release/slime4rec evaluate --data "$CI_RUN/data.json" \
+    --model "$CI_RUN/bad-model" 2>"$CI_RUN/bad-model.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "bad checkpoint" "$CI_RUN/bad-model.err"; then
+    echo "corrupt checkpoint: want exit 1 with 'bad checkpoint', got exit $status:" >&2
+    cat "$CI_RUN/bad-model.err" >&2
+    exit 1
+fi
 
 echo "CI: all gates passed"

@@ -6,7 +6,7 @@ use slime_baselines::{EncoderConfig, TransformerRec};
 use slime_data::batch::pad_truncate;
 use slime_data::synthetic::{generate, profile};
 use slime_data::Split;
-use slime_nn::{Module, TrainContext};
+use slime_nn::{Module, ParamCollector, TrainContext};
 use slime_tensor::StateDict;
 
 #[test]
@@ -89,6 +89,53 @@ fn mismatched_checkpoint_is_rejected() {
         other.load_state_dict(&sd);
     }));
     assert!(result.is_err(), "loading must panic on missing parameters");
+}
+
+#[test]
+fn refused_checkpoint_leaves_the_model_untouched() {
+    let mut cfg = SlimeConfig::small(5);
+    cfg.hidden = 8;
+    cfg.max_len = 6;
+    let model = Slime4Rec::new(cfg.clone());
+    let before = model.state_dict();
+    // A shallower model's checkpoint lacks block 1; another seed's
+    // checkpoint with its last-loaded record poisoned is valid up to the
+    // end, so a loader that wrote as it went would have changed the model.
+    let mut shallow = cfg.clone();
+    shallow.layers = 1;
+    let mut reseeded = cfg;
+    reseeded.seed += 1;
+    let donor = Slime4Rec::new(reseeded);
+    let mut c = ParamCollector::new();
+    donor.collect(&mut c);
+    let last = &c.entries().last().unwrap().0;
+    for sd in [
+        Slime4Rec::new(shallow).state_dict(),
+        poison(&donor.state_dict(), last),
+    ] {
+        let err = model.try_load_state_dict(&sd).unwrap_err();
+        assert_eq!(model.state_dict(), before, "a refused load wrote: {err}");
+    }
+}
+
+/// `sd` with `name`'s first value replaced by `1e39`, which parses to
+/// infinity.
+fn poison(sd: &StateDict, name: &str) -> StateDict {
+    let mut v = slime_json::parse(&slime_json::to_string(sd)).unwrap();
+    let slime_json::Value::Obj(top) = &mut v else {
+        panic!("a state dict is an object")
+    };
+    let Some(slime_json::Value::Obj(entries)) = top.get_mut("entries") else {
+        panic!("a state dict has entries")
+    };
+    let Some(slime_json::Value::Obj(rec)) = entries.get_mut(name) else {
+        panic!("no record {name:?}")
+    };
+    let Some(slime_json::Value::Arr(data)) = rec.get_mut("data") else {
+        panic!("a record has data")
+    };
+    data[0] = slime_json::Value::Float(1e39);
+    slime_json::from_str(&v.to_compact()).unwrap()
 }
 
 #[test]
