@@ -74,7 +74,8 @@ pub fn usage() -> String {
      bounded admission queue (--queue-cap; excess requests get an explicit\n\
      overload reject). Clients speak a length-prefixed binary protocol or\n\
      plain HTTP: GET /recommend?h=1,2,3&k=10&exclude=1, /healthz, /stats.\n\
-     --serve-workers caps the slime-par pool used by the forward pass.\n\
+     --serve-workers caps the slime-par pool used by the forward pass; it\n\
+     never raises it above --threads.\n\
      --smoke N serves N closed-loop requests from --smoke-clients in-process\n\
      clients, prints a latency/occupancy summary, verifies zero errors and\n\
      at least one multi-request batch, then exits — used by scripts/ci.sh.\n\

@@ -241,6 +241,9 @@ fn concurrent_serving_is_bitwise_identical_to_serial() {
         for simd_on in [true, false] {
             for workers in [1usize, 4] {
                 slime_tensor::simd::set_enabled(simd_on);
+                // `workers` only caps the process count, so raise that to
+                // `workers` for the corner to run at its nominal count.
+                slime_par::set_threads(workers);
                 let label = format!(
                     "simd={} workers={workers} quantize={quantize}",
                     if simd_on { "on" } else { "off" }

@@ -97,14 +97,14 @@ pub trait Module {
         sd
     }
 
-    /// Load all parameters from a [`StateDict`] (names and shapes must
-    /// match).
+    /// Load all parameters from a [`StateDict`].
+    ///
+    /// # Panics
+    /// Panics, with no parameter written, on any checkpoint that
+    /// [`Module::try_load_state_dict`] refuses.
     fn load_state_dict(&self, sd: &StateDict) {
-        let mut c = ParamCollector::new();
-        self.collect(&mut c);
-        for (name, t) in c.entries() {
-            sd.load_into(name, t);
-        }
+        let loaded = self.try_load_state_dict(sd);
+        assert!(loaded.is_ok(), "refused checkpoint: {loaded:?}");
     }
 
     /// Load all parameters from a [`StateDict`], or refuse it with no

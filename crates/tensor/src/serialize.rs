@@ -6,7 +6,6 @@ use std::path::Path;
 
 use slime_json::{obj, FromJson, JsonError, ToJson, Value};
 
-use crate::ndarray::NdArray;
 use crate::tensor::Tensor;
 
 /// One serialized array.
@@ -143,18 +142,6 @@ impl StateDict {
         assert!(prev.is_none(), "duplicate parameter name {name:?}");
     }
 
-    /// Copy the stored value for `name` into tensor `t`.
-    ///
-    /// # Panics
-    /// Panics if `name` is missing or shapes mismatch.
-    pub fn load_into(&self, name: &str, t: &Tensor) {
-        let rec = self
-            .entries
-            .get(name)
-            .unwrap_or_else(|| panic!("missing parameter {name:?} in checkpoint"));
-        t.set_data(NdArray::from_vec(rec.shape.clone(), rec.data.clone()));
-    }
-
     /// The record for `name`, checked for loading into a parameter of
     /// shape `shape`: present, its data length matching its own shape,
     /// that shape matching `shape`, and every value finite.
@@ -211,15 +198,15 @@ impl StateDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ndarray::NdArray;
 
     #[test]
     fn insert_and_load_roundtrip() {
         let t = Tensor::param(NdArray::from_vec(vec![2, 2], vec![1., 2., 3., 4.]));
         let mut sd = StateDict::new();
         sd.insert("w", &t);
-        let t2 = Tensor::param(NdArray::zeros(vec![2, 2]));
-        sd.load_into("w", &t2);
-        assert_eq!(t2.value().data(), &[1., 2., 3., 4.]);
+        let rec = sd.checked("w", &[2, 2]).unwrap();
+        assert_eq!(rec.data, [1., 2., 3., 4.]);
     }
 
     #[test]
@@ -235,7 +222,7 @@ mod tests {
     #[should_panic(expected = "missing")]
     fn missing_name_rejected() {
         let sd = StateDict::new();
-        sd.load_into("nope", &Tensor::param(NdArray::scalar(0.0)));
+        panic!("{}", sd.checked("nope", &[]).unwrap_err());
     }
 
     #[test]
