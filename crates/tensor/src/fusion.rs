@@ -18,12 +18,12 @@
 //!
 //! # Parity contract
 //!
-//! On the scalar backend every fused op is bitwise identical to the op chain
-//! it replaces (the kernels compute the same expressions in the same order).
-//! On AVX2, [`add_layer_norm`] and [`gate_mix`] are bitwise identical to
-//! their unfused counterparts for any width; [`matmul_bias_gelu`] is bitwise
-//! identical when the output width is a multiple of 8 (the fused kernel's
-//! GELU lane grouping restarts at each row, the flat unfused pass doesn't).
+//! Every fused op is bitwise identical to the op chain it replaces, on both
+//! backends and at any width: the kernels compute the same expressions in
+//! the same order, the AVX2 scalar tails replicate the lane arithmetic (so a
+//! value never depends on where its row starts), and the bias gradient of
+//! [`matmul_bias_gelu`] is the same leading-axis sum (`crate::grid`) that
+//! `reduce_to_shape` takes on the unfused chain, at every row count.
 //! `tests/fusion_parity.rs` enforces all of this plus gradcheck agreement,
 //! and `crates/core/tests/determinism.rs` pins the end-to-end contract.
 //! See DESIGN.md §14.
@@ -34,6 +34,8 @@
 //! plans.
 
 use std::cell::RefCell;
+
+use slime_par::UnsafeSlice;
 
 use crate::ndarray::NdArray;
 use crate::plan::ReplayCtx;
@@ -59,26 +61,30 @@ pub fn matmul_bias_gelu(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
     )
 }
 
-/// Shared forward body: returns `(gelu(z), z)` with `z = x·W + b`.
+/// Shared forward body: returns `(gelu(z), z)` with `z = x·W + b`. The
+/// epilogue runs row-parallel on the row grid.
 fn matmul_bias_gelu_fwd(x: &NdArray, w: &NdArray, bias: &NdArray) -> (NdArray, NdArray) {
     let n = bias.len();
     let mut pre = x.matmul2d(w);
     let rows = pre.len() / n;
     debug_assert_eq!(pre.len(), rows * n, "matmul rows divide by the bias width");
-    let mut out = crate::pool::take_filled(pre.len(), 0.0);
+    let mut out = crate::pool::take_unfilled(pre.len());
     let k = crate::simd::kernels();
+    let bw = bias.data();
     {
         // `pre` is freshly produced by the matmul, so this is a true
         // in-place epilogue (no copy-on-write).
-        let pm = pre.data_mut();
-        let bw = bias.data();
-        for r in 0..rows {
-            (k.bias_gelu)(
-                &mut pm[r * n..(r + 1) * n],
-                bw,
-                &mut out[r * n..(r + 1) * n],
-            );
-        }
+        let (wp, wo) = (UnsafeSlice::new(pre.data_mut()), UnsafeSlice::new(&mut out));
+        slime_par::parallel_for(rows, crate::grid::rows_per_chunk(n), |r0, r1| {
+            // SAFETY: row chunks are disjoint.
+            // lint-proof(l8): wp[r0 * n .. r1 * n]
+            // lint-proof(l8): wo[r0 * n .. r1 * n]
+            let p = unsafe { wp.slice_mut(r0 * n, (r1 - r0) * n) };
+            let o = unsafe { wo.slice_mut(r0 * n, (r1 - r0) * n) };
+            for (pr, or) in p.chunks_exact_mut(n).zip(o.chunks_exact_mut(n)) {
+                (k.bias_gelu)(pr, bw, or);
+            }
+        });
     }
     let shape = pre.shape().to_vec();
     (NdArray::from_vec(shape, out), pre)
@@ -98,18 +104,19 @@ impl Op for MatmulBiasGeluOp {
         let zd = z.data();
         let g = grad.data();
         let k = crate::simd::kernels();
-        let mut dpre = crate::pool::take_filled(z.len(), 0.0);
-        let mut db = crate::pool::take_filled(n, 0.0);
-        // Rows accumulate into `db` in ascending order — the same column
-        // order `reduce_to_shape` uses on the unfused chain.
-        for r in 0..rows {
-            (k.bias_gelu_bwd)(
-                &zd[r * n..(r + 1) * n],
-                &g[r * n..(r + 1) * n],
-                &mut dpre[r * n..(r + 1) * n],
-                &mut db,
-            );
-        }
+        let mut dpre = crate::pool::take_unfilled(z.len());
+        // `db` is a leading-axis sum on the row grid — the same formula
+        // `reduce_to_shape` applies to the unfused chain's bias gradient.
+        let db = crate::grid::fold_rows(rows, n, &mut dpre, n, |r0, r1, dp, acc| {
+            for r in r0..r1 {
+                (k.bias_gelu_bwd)(
+                    &zd[r * n..(r + 1) * n],
+                    &g[r * n..(r + 1) * n],
+                    &mut dp[(r - r0) * n..(r - r0 + 1) * n],
+                    acc,
+                );
+            }
+        });
         let dpre = NdArray::from_vec(shape, dpre);
         let dx = dpre.matmul2d_nt(&parents[1].data());
         let dw = parents[0].data().matmul2d_tn(&dpre);
@@ -143,8 +150,14 @@ pub fn add_layer_norm(a: &Tensor, b: &Tensor, gamma: &Tensor, beta: &Tensor, eps
     let d = shape[shape.len() - 1];
     assert_eq!(gamma.shape(), vec![d], "gamma shape");
     assert_eq!(beta.shape(), vec![d], "beta shape");
-    let (out, xhat, inv_std) =
-        add_layer_norm_fwd(&a.data(), &b.data(), &gamma.data(), &beta.data(), eps, d);
+    let (out, xhat, inv_std) = crate::ops::layer_norm_rows(
+        &a.data(),
+        Some(&b.data()),
+        &gamma.data(),
+        &beta.data(),
+        eps,
+        d,
+    );
     Tensor::from_op(
         out,
         vec![a.clone(), b.clone(), gamma.clone(), beta.clone()],
@@ -156,54 +169,6 @@ pub fn add_layer_norm(a: &Tensor, b: &Tensor, gamma: &Tensor, beta: &Tensor, eps
     )
 }
 
-/// Shared forward body: returns `(out, xhat, inv_std)`.
-fn add_layer_norm_fwd(
-    a: &NdArray,
-    b: &NdArray,
-    gamma: &NdArray,
-    beta: &NdArray,
-    eps: f32,
-    d: usize,
-) -> (NdArray, NdArray, Vec<f32>) {
-    let rows = a.len() / d;
-    let ad = a.data();
-    let bd = b.data();
-    let gw = gamma.data();
-    let bw = beta.data();
-    debug_assert!(
-        ad.len() == rows * d && bd.len() == ad.len() && gw.len() == d && bw.len() == d,
-        "residual operands are [rows, d] with [d] affine params"
-    );
-    let mut sum = crate::pool::take_filled(a.len(), 0.0);
-    let mut xhat = crate::pool::take_filled(a.len(), 0.0);
-    let mut out = crate::pool::take_filled(a.len(), 0.0);
-    let mut inv_std = crate::pool::take_filled(rows, 0.0);
-    let k = crate::simd::kernels();
-    for r in 0..rows {
-        let row = r * d..(r + 1) * d;
-        let (mean, var) =
-            (k.add_mean_var)(&ad[row.clone()], &bd[row.clone()], &mut sum[row.clone()]);
-        let istd = 1.0 / (var + eps).sqrt();
-        inv_std[r] = istd;
-        (k.layernorm_affine)(
-            &sum[row.clone()],
-            mean,
-            istd,
-            gw,
-            bw,
-            &mut xhat[row.clone()],
-            &mut out[row],
-        );
-    }
-    crate::pool::recycle(sum);
-    let shape = a.shape().to_vec();
-    (
-        NdArray::from_vec(shape.clone(), out),
-        NdArray::from_vec(shape, xhat),
-        inv_std,
-    )
-}
-
 struct AddLayerNormOp {
     xhat: RefCell<NdArray>,
     inv_std: RefCell<Vec<f32>>,
@@ -212,46 +177,15 @@ struct AddLayerNormOp {
 
 impl Op for AddLayerNormOp {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        // Identical to LayerNormOp's backward on the summed input; the sum's
-        // gradient then flows unchanged to both addends.
-        let gamma = parents[2].data();
-        let d = gamma.len();
-        let xhat = self.xhat.borrow();
-        let inv_std = self.inv_std.borrow();
-        let rows = xhat.len() / d;
-        let xh = xhat.data();
-        let g = grad.data();
-        debug_assert_eq!(g.len(), xhat.len(), "grad matches saved xhat");
-        let gw = gamma.data();
-        let mut dx = crate::pool::take_filled(xhat.len(), 0.0);
-        let mut dgamma = crate::pool::take_filled(d, 0.0);
-        let mut dbeta = crate::pool::take_filled(d, 0.0);
-        for r in 0..rows {
-            let base = r * d;
-            let mut mean_dxhat = 0.0f32;
-            let mut mean_dxhat_xhat = 0.0f32;
-            for j in 0..d {
-                let dxh = g[base + j] * gw[j];
-                mean_dxhat += dxh;
-                mean_dxhat_xhat += dxh * xh[base + j];
-                dgamma[j] += g[base + j] * xh[base + j];
-                dbeta[j] += g[base + j];
-            }
-            mean_dxhat /= d as f32;
-            mean_dxhat_xhat /= d as f32;
-            let istd = inv_std[r];
-            for j in 0..d {
-                let dxh = g[base + j] * gw[j];
-                dx[base + j] = istd * (dxh - mean_dxhat - xh[base + j] * mean_dxhat_xhat);
-            }
-        }
-        let dx = NdArray::from_vec(xhat.shape().to_vec(), dx);
-        vec![
-            Some(dx.clone()),
-            Some(dx),
-            Some(NdArray::from_vec(vec![d], dgamma)),
-            Some(NdArray::from_vec(vec![d], dbeta)),
-        ]
+        // LayerNormOp's backward on the summed input; the sum's gradient
+        // then flows unchanged to both addends.
+        let (dx, dgamma, dbeta) = crate::ops::layer_norm_bwd(
+            grad,
+            &self.xhat.borrow(),
+            &self.inv_std.borrow(),
+            &parents[2].data(),
+        );
+        vec![Some(dx.clone()), Some(dx), Some(dgamma), Some(dbeta)]
     }
     fn name(&self) -> &'static str {
         "add_layer_norm"
@@ -262,9 +196,9 @@ impl Op for AddLayerNormOp {
     fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
         let _prof = super::ops::fwd_prof("add_layer_norm", parents[0].len());
         let d = parents[2].len();
-        let (out, xhat, inv_std) = add_layer_norm_fwd(
+        let (out, xhat, inv_std) = crate::ops::layer_norm_rows(
             &parents[0].data(),
-            &parents[1].data(),
+            Some(&parents[1].data()),
             &parents[2].data(),
             &parents[3].data(),
             self.eps,
@@ -298,7 +232,7 @@ pub fn gate_mix(yd: &Tensor, ys: &Tensor, g: &Tensor) -> Tensor {
 fn gate_mix_fwd(yd: &NdArray, ys: &NdArray, g: &NdArray) -> NdArray {
     let gv = g.scalar_value();
     let om = gv * -1.0 + 1.0;
-    let mut out = crate::pool::take_filled(yd.len(), 0.0);
+    let mut out = crate::pool::take_unfilled(yd.len());
     (crate::simd::kernels().gate_mix)(yd.data(), ys.data(), om, gv, &mut out);
     NdArray::from_vec(yd.shape().to_vec(), out)
 }
@@ -310,8 +244,8 @@ impl Op for GateMixOp {
         let (yd, ys, gt) = (parents[0].data(), parents[1].data(), parents[2].data());
         let gv = gt.scalar_value();
         let om = gv * -1.0 + 1.0;
-        let mut dyd = crate::pool::take_filled(yd.len(), 0.0);
-        let mut dys = crate::pool::take_filled(ys.len(), 0.0);
+        let mut dyd = crate::pool::take_unfilled(yd.len());
+        let mut dys = crate::pool::take_unfilled(ys.len());
         let (sum_gyd, sum_gys) = (crate::simd::kernels().gate_mix_bwd)(
             grad.data(),
             yd.data(),

@@ -24,6 +24,7 @@
 
 pub mod fusion;
 pub mod gradcheck;
+mod grid;
 pub mod init;
 mod ndarray;
 pub mod ops;

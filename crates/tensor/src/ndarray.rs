@@ -220,10 +220,15 @@ impl NdArray {
     }
 
     /// Accumulate `other * scale` into `self`; shapes must match exactly.
+    /// Runs over the element grid (`crate::grid`): each element is
+    /// independent, so the bits are those of one whole `saxpy`.
     pub fn add_scaled_assign(&mut self, other: &NdArray, scale: f32) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        let dst = self.data_mut();
-        (crate::simd::kernels().saxpy)(dst, &other.data, scale);
+        let src = other.data();
+        let saxpy = crate::simd::kernels().saxpy;
+        crate::grid::for_each_chunk(self.data_mut(), |lo, dst| {
+            saxpy(dst, &src[lo..lo + dst.len()], scale)
+        });
     }
 
     /// Broadcast shape of two operands under NumPy rules.
@@ -294,7 +299,10 @@ impl NdArray {
     ///
     /// Used by backward passes of broadcasting ops: the gradient w.r.t. a
     /// broadcast operand is the output gradient summed over the broadcast
-    /// axes.
+    /// axes. When `target` (leading 1s aside) is a suffix of the shape —
+    /// bias and positional-embedding gradients — this is a leading-axis sum
+    /// on the row grid (`crate::grid::sum_rows`), the formula the fused
+    /// bias-GELU backward uses too; other broadcasts walk the index space.
     pub fn reduce_to_shape(&self, target: &[usize]) -> NdArray {
         if self.shape == target {
             return self.clone();
@@ -305,6 +313,11 @@ impl NdArray {
             "reduce_to_shape: {target:?} does not broadcast to {:?}",
             self.shape
         );
+        let kept = &target[target.iter().take_while(|&&t| t == 1).count()..];
+        if !kept.is_empty() && self.shape.ends_with(kept) {
+            let sums = crate::grid::sum_rows(self.data(), numel(kept));
+            return NdArray::from_vec(target.to_vec(), sums);
+        }
         let n = self.len();
         let strides = broadcast_strides(target, &self.shape);
         let mut out = pool::take_filled(numel(target), 0.0);

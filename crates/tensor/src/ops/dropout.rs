@@ -1,5 +1,7 @@
 //! Inverted dropout.
 
+use std::cell::{Cell, RefCell};
+
 use slime_rng::Rng;
 
 use crate::ndarray::NdArray;
@@ -18,9 +20,12 @@ use crate::tensor::{Op, Tensor};
 /// * **hashed** (fused fast path, [`crate::simd::fuse::enabled`]): one
 ///   `u64` drawn from `rng` seeds a counter-based per-index hash
 ///   ([`Kernels::dropout_mask`](crate::simd::Kernels)) — branchless, 8-lane
-///   vectorizable, and bitwise identical across SIMD backends;
+///   vectorizable, bitwise identical across SIMD backends, and run in
+///   parallel over the element grid. The op keeps only the seed: backward
+///   regenerates the mask;
 /// * **sequential** (`--no-fuse`): the historical draw-per-element walk,
-///   kept bit-exact so the escape hatch reproduces pre-fusion results.
+///   kept bit-exact so the escape hatch reproduces pre-fusion results. Its
+///   mask cannot be regenerated, so the op stores it.
 ///
 /// The sampler is fixed at construction, so a step plan replays whichever
 /// sampler traced the capture step regardless of the current gate.
@@ -36,64 +41,77 @@ pub fn dropout(x: &Tensor, p: f32, rng: &mut impl Rng) -> Tensor {
     }
     let keep = 1.0 - p;
     let scale = 1.0 / keep;
-    let hashed = crate::simd::fuse::enabled();
-    let data = x.data();
-    let src = data.data();
-    let mut mask = crate::pool::take_filled(x.len(), 0.0);
-    let mut out = crate::pool::take_filled(x.len(), 0.0);
-    fill_masked(hashed, keep, scale, rng, src, &mut mask, &mut out);
-    let shape = x.shape();
-    drop(data);
+    let (out, mask) = if crate::simd::fuse::enabled() {
+        let seed = rng.gen::<u64>();
+        (
+            apply_hashed(seed, keep, scale, &x.data()),
+            Mask::Hashed(Cell::new(seed)),
+        )
+    } else {
+        let (out, mask) = sequential(keep, scale, rng, &x.data());
+        (out, Mask::Stored(RefCell::new(mask)))
+    };
     Tensor::from_op(
-        NdArray::from_vec(shape.clone(), out),
+        out,
         vec![x.clone()],
-        Box::new(DropoutOp {
-            keep,
-            scale,
-            hashed,
-            mask: std::cell::RefCell::new(NdArray::from_vec(shape, mask)),
-        }),
+        Box::new(DropoutOp { keep, scale, mask }),
     )
 }
 
-/// Shared mask body: one pass writing `mask` (0 or `scale`) and
-/// `out = src * mask`, consuming `rng` per the selected sampler.
-fn fill_masked(
-    hashed: bool,
-    keep: f32,
-    scale: f32,
-    rng: &mut impl Rng,
-    src: &[f32],
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
-    debug_assert!(
-        mask.len() == src.len() && out.len() == src.len(),
-        "mask and out match the source length"
-    );
-    if hashed {
-        let seed = rng.gen::<u64>();
-        (crate::simd::kernels().dropout_mask)(seed, keep, scale, src, mask, out);
-    } else {
-        for i in 0..src.len() {
-            if rng.gen::<f32>() < keep {
-                mask[i] = scale;
-                out[i] = src[i] * scale;
-            }
+/// `x · mask(seed, i)` for the hashed sampler, over the element grid: the
+/// forward applies it to the input, the backward to the gradient.
+fn apply_hashed(seed: u64, keep: f32, scale: f32, x: &NdArray) -> NdArray {
+    let src = x.data();
+    let kernel = crate::simd::kernels().dropout_mask;
+    let mut out = crate::pool::take_unfilled(src.len());
+    debug_assert_eq!(out.len(), src.len(), "chunks of out index src");
+    crate::grid::for_each_chunk(&mut out, |lo, o| {
+        kernel(seed, lo, keep, scale, &src[lo..lo + o.len()], o)
+    });
+    NdArray::from_vec(x.shape().to_vec(), out)
+}
+
+/// The sequential sampler: one `rng` draw per element, in order. Returns
+/// `(out, mask)` with the mask 0 or `scale`.
+fn sequential(keep: f32, scale: f32, rng: &mut impl Rng, x: &NdArray) -> (NdArray, NdArray) {
+    let src = x.data();
+    // Only survivors are written, so both buffers start zeroed.
+    let mut mask = crate::pool::take_filled(src.len(), 0.0);
+    let mut out = crate::pool::take_filled(src.len(), 0.0);
+    debug_assert_eq!(mask.len(), src.len(), "mask and out match the source");
+    for i in 0..src.len() {
+        if rng.gen::<f32>() < keep {
+            mask[i] = scale;
+            out[i] = src[i] * scale;
         }
     }
+    let shape = x.shape().to_vec();
+    (
+        NdArray::from_vec(shape.clone(), out),
+        NdArray::from_vec(shape, mask),
+    )
+}
+
+/// What the backward needs to know of the mask, per sampler.
+enum Mask {
+    /// The hashed sampler's seed; the mask is a pure function of it.
+    Hashed(Cell<u64>),
+    /// The sequential sampler's mask (0 or `scale` per element).
+    Stored(RefCell<NdArray>),
 }
 
 struct DropoutOp {
     keep: f32,
     scale: f32,
-    hashed: bool,
-    mask: std::cell::RefCell<NdArray>,
+    mask: Mask,
 }
 
 impl Op for DropoutOp {
     fn backward(&self, grad: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        vec![Some(grad.zip_map(&self.mask.borrow(), |g, m| g * m))]
+        vec![Some(match &self.mask {
+            Mask::Hashed(seed) => apply_hashed(seed.get(), self.keep, self.scale, grad),
+            Mask::Stored(mask) => grad.zip_map(&mask.borrow(), |g, m| g * m),
+        })]
     }
     fn name(&self) -> &'static str {
         "dropout"
@@ -108,23 +126,18 @@ impl Op for DropoutOp {
         let _prof = super::fwd_prof("dropout", parents[0].len());
         debug_assert_eq!(parents.len(), 1, "dropout has one parent");
         let rng = ctx.rng.as_deref_mut()?;
-        let data = parents[0].data();
-        let src = data.data();
-        let mut mask = crate::pool::take_filled(src.len(), 0.0);
-        let mut out = crate::pool::take_filled(src.len(), 0.0);
-        fill_masked(
-            self.hashed,
-            self.keep,
-            self.scale,
-            rng,
-            src,
-            &mut mask,
-            &mut out,
-        );
-        let shape = data.shape().to_vec();
-        drop(data);
-        *self.mask.borrow_mut() = NdArray::from_vec(shape.clone(), mask);
-        Some(NdArray::from_vec(shape, out))
+        let x = parents[0].data();
+        Some(match &self.mask {
+            Mask::Hashed(seed) => {
+                seed.set(rng.gen::<u64>());
+                apply_hashed(seed.get(), self.keep, self.scale, &x)
+            }
+            Mask::Stored(mask) => {
+                let (out, m) = sequential(self.keep, self.scale, rng, &x);
+                *mask.borrow_mut() = m;
+                out
+            }
+        })
     }
 }
 

@@ -6,10 +6,12 @@ use crate::ndarray::NdArray;
 use crate::plan::ReplayCtx;
 use crate::tensor::{Op, Tensor};
 
-/// Same-shape binary fast path through the SIMD dispatch table; mismatched
-/// shapes fall back to the general broadcasting walk. The scalar backend's
-/// kernels compute the identical per-element expressions, so routing through
-/// the table never changes values.
+/// Same-shape binary fast path through the SIMD dispatch table, in parallel
+/// over the element grid; mismatched shapes fall back to the general
+/// broadcasting walk. The scalar backend's kernels compute the identical
+/// per-element expressions, so routing through the table never changes
+/// values, and the grid's lane-aligned chunks leave the AVX2 bits as one
+/// whole call would.
 fn binary_dispatch(
     a: &NdArray,
     b: &NdArray,
@@ -17,18 +19,28 @@ fn binary_dispatch(
     fallback: impl Fn(f32, f32) -> f32,
 ) -> NdArray {
     if a.shape() == b.shape() {
-        let mut out = crate::pool::take_filled(a.len(), 0.0);
-        kernel(a.data(), b.data(), &mut out);
+        let (ad, bd) = (a.data(), b.data());
+        let mut out = crate::pool::take_unfilled(a.len());
+        debug_assert!(
+            ad.len() == out.len() && bd.len() == out.len(),
+            "same shapes"
+        );
+        crate::grid::for_each_chunk(&mut out, |lo, o| {
+            kernel(&ad[lo..lo + o.len()], &bd[lo..lo + o.len()], o)
+        });
         NdArray::from_vec(a.shape().to_vec(), out)
     } else {
         a.broadcast_zip(b, fallback)
     }
 }
 
-/// `src * c` through the dispatch table.
+/// `src * c` through the dispatch table, over the element grid.
 fn scale_arr(a: &NdArray, c: f32) -> NdArray {
-    let mut out = crate::pool::take_filled(a.len(), 0.0);
-    (crate::simd::kernels().scale)(a.data(), c, &mut out);
+    let src = a.data();
+    let scale = crate::simd::kernels().scale;
+    let mut out = crate::pool::take_unfilled(a.len());
+    debug_assert_eq!(out.len(), src.len(), "chunks of out index src");
+    crate::grid::for_each_chunk(&mut out, |lo, o| scale(&src[lo..lo + o.len()], c, o));
     NdArray::from_vec(a.shape().to_vec(), out)
 }
 
@@ -250,7 +262,7 @@ pub fn gelu(a: &Tensor) -> Tensor {
         out,
         a.value(),
         |g, x| {
-            let mut dx = crate::pool::take_filled(g.len(), 0.0);
+            let mut dx = crate::pool::take_unfilled(g.len());
             (crate::simd::kernels().gelu_bwd)(x.data(), g.data(), &mut dx);
             NdArray::from_vec(g.shape().to_vec(), dx)
         },
@@ -259,7 +271,7 @@ pub fn gelu(a: &Tensor) -> Tensor {
 }
 
 fn gelu_arr(x: &NdArray) -> NdArray {
-    let mut out = crate::pool::take_filled(x.len(), 0.0);
+    let mut out = crate::pool::take_unfilled(x.len());
     (crate::simd::kernels().gelu_fwd)(x.data(), &mut out);
     NdArray::from_vec(x.shape().to_vec(), out)
 }

@@ -47,6 +47,7 @@ pub use embedding::embedding;
 pub use loss::cross_entropy;
 pub use matmul::{bmm, bmm_nt, matmul, matmul_nt};
 pub use norm::{l2_normalize, layer_norm};
+pub(crate) use norm::{layer_norm_bwd, layer_norm_rows};
 pub use reduce::{mean_all, mean_axis, sum_all, sum_axis};
 pub use shape::{concat, gather_positions, index_axis, permute, reshape, slice_axis, unfold_time};
 pub use softmax::{log_softmax, softmax};

@@ -1,6 +1,8 @@
 //! Normalization ops: layer normalization (paper Eq. 10/28/30) and L2
 //! normalization (used by the contrastive similarity).
 
+use slime_par::UnsafeSlice;
+
 use crate::ndarray::NdArray;
 use crate::tensor::{Op, Tensor};
 
@@ -15,7 +17,8 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     let d = shape[shape.len() - 1];
     assert_eq!(gamma.shape(), vec![d], "gamma shape");
     assert_eq!(beta.shape(), vec![d], "beta shape");
-    let (out, xhat, inv_std) = layer_norm_fwd(&x.data(), &gamma.data(), &beta.data(), eps, d);
+    let (out, xhat, inv_std) =
+        layer_norm_rows(&x.data(), None, &gamma.data(), &beta.data(), eps, d);
     Tensor::from_op(
         out,
         vec![x.clone(), gamma.clone(), beta.clone()],
@@ -27,43 +30,68 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     )
 }
 
-/// Shared forward body (eager construction and plan replay): returns
+/// The layer-norm forward of every form (eager construction and plan
+/// replay alike), row-parallel on the row grid: normalizes each row of `a`,
+/// or of the residual sum `a + b` when `b` is given (`add_layer_norm`, which
+/// makes the sum and its statistics in one pass per row). Returns
 /// `(out, xhat, inv_std)`.
-pub(crate) fn layer_norm_fwd(
-    x: &NdArray,
+pub(crate) fn layer_norm_rows(
+    a: &NdArray,
+    b: Option<&NdArray>,
     gamma: &NdArray,
     beta: &NdArray,
     eps: f32,
     d: usize,
 ) -> (NdArray, NdArray, Vec<f32>) {
-    let rows = x.len() / d;
-    let src = x.data();
+    let rows = a.len() / d;
+    let ad = a.data();
+    let bd = b.map(NdArray::data);
     let gw = gamma.data();
     let bw = beta.data();
     debug_assert!(
-        src.len() == rows * d && gw.len() == d && bw.len() == d,
-        "layer_norm rows divide evenly and affine params are [d]"
+        ad.len() == rows * d
+            && bd.is_none_or(|bd| bd.len() == ad.len())
+            && gw.len() == d
+            && bw.len() == d,
+        "layer_norm rows divide evenly, operands match, affine params are [d]"
     );
-    let mut out = crate::pool::take_filled(x.len(), 0.0);
-    let mut xhat = crate::pool::take_filled(x.len(), 0.0);
-    let mut inv_std = crate::pool::take_filled(rows, 0.0);
+    let mut out = crate::pool::take_unfilled(a.len());
+    let mut xhat = crate::pool::take_unfilled(a.len());
+    let mut inv_std = crate::pool::take_unfilled(rows);
     let k = crate::simd::kernels();
-    for r in 0..rows {
-        let row = &src[r * d..(r + 1) * d];
-        let (mean, var) = (k.mean_var)(row);
-        let istd = 1.0 / (var + eps).sqrt();
-        inv_std[r] = istd;
-        (k.layernorm_affine)(
-            row,
-            mean,
-            istd,
-            gw,
-            bw,
-            &mut xhat[r * d..(r + 1) * d],
-            &mut out[r * d..(r + 1) * d],
+    {
+        let (wo, wx, wi) = (
+            UnsafeSlice::new(&mut out),
+            UnsafeSlice::new(&mut xhat),
+            UnsafeSlice::new(&mut inv_std),
         );
+        slime_par::parallel_for(rows, crate::grid::rows_per_chunk(d), |r0, r1| {
+            // SAFETY: row chunks are disjoint, and each output is written
+            // only at its rows `r0..r1`.
+            // lint-proof(l8): wo[r0 * d .. r1 * d]
+            // lint-proof(l8): wx[r0 * d .. r1 * d]
+            // lint-proof(l8): wi[r0 .. r1]
+            let o = unsafe { wo.slice_mut(r0 * d, (r1 - r0) * d) };
+            let xh = unsafe { wx.slice_mut(r0 * d, (r1 - r0) * d) };
+            let istd = unsafe { wi.slice_mut(r0, r1 - r0) };
+            // Row scratch for the residual sum: it never leaves the row.
+            let mut sum = vec![0.0f32; if bd.is_some() { d } else { 0 }];
+            for r in r0..r1 {
+                let (row, local) = (r * d..(r + 1) * d, (r - r0) * d..(r - r0 + 1) * d);
+                let (src, (mean, var)) = match bd {
+                    Some(bd) => {
+                        let stats = (k.add_mean_var)(&ad[row.clone()], &bd[row], &mut sum);
+                        (&sum[..], stats)
+                    }
+                    None => (&ad[row.clone()], (k.mean_var)(&ad[row])),
+                };
+                let is = 1.0 / (var + eps).sqrt();
+                istd[r - r0] = is;
+                (k.layernorm_affine)(src, mean, is, gw, bw, &mut xh[local.clone()], &mut o[local]);
+            }
+        });
     }
-    let shape = x.shape().to_vec();
+    let shape = a.shape().to_vec();
     (
         NdArray::from_vec(shape.clone(), out),
         NdArray::from_vec(shape, xhat),
@@ -71,27 +99,28 @@ pub(crate) fn layer_norm_fwd(
     )
 }
 
-struct LayerNormOp {
-    xhat: std::cell::RefCell<NdArray>,
-    inv_std: std::cell::RefCell<Vec<f32>>,
-    eps: f32,
-}
-
-impl Op for LayerNormOp {
-    fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        let gamma = parents[1].data();
-        let d = gamma.len();
-        let xhat = self.xhat.borrow();
-        let inv_std = self.inv_std.borrow();
-        let rows = xhat.len() / d;
-        let xh = xhat.data();
-        let g = grad.data();
-        debug_assert_eq!(g.len(), xhat.len(), "grad matches saved xhat");
-        let gw = gamma.data();
-        let mut dx = crate::pool::take_filled(xhat.len(), 0.0);
-        let mut dgamma = crate::pool::take_filled(d, 0.0);
-        let mut dbeta = crate::pool::take_filled(d, 0.0);
-        for r in 0..rows {
+/// The layer-norm backward of every form: `(dx, dgamma, dbeta)` from the
+/// saved `xhat` and `inv_std`. `dx` is computed per row on the row grid;
+/// `dgamma`/`dbeta` are leading-axis sums through [`crate::grid::fold_rows`].
+/// For `add_layer_norm`, `dx` is the gradient of the residual sum, which
+/// flows unchanged to both addends.
+pub(crate) fn layer_norm_bwd(
+    grad: &NdArray,
+    xhat: &NdArray,
+    inv_std: &[f32],
+    gamma: &NdArray,
+) -> (NdArray, NdArray, NdArray) {
+    let d = gamma.len();
+    let rows = xhat.len() / d;
+    let (g, xh, gw) = (grad.data(), xhat.data(), gamma.data());
+    debug_assert!(
+        g.len() == xhat.len() && inv_std.len() == rows,
+        "grad matches saved xhat, one inv_std per row"
+    );
+    let mut dx = crate::pool::take_unfilled(xhat.len());
+    let sums = crate::grid::fold_rows(rows, d, &mut dx, 2 * d, |r0, r1, dx, acc| {
+        let (dgamma, dbeta) = acc.split_at_mut(d);
+        for r in r0..r1 {
             let base = r * d;
             // dxhat = g * gamma
             let mut mean_dxhat = 0.0f32;
@@ -106,16 +135,36 @@ impl Op for LayerNormOp {
             mean_dxhat /= d as f32;
             mean_dxhat_xhat /= d as f32;
             let istd = inv_std[r];
+            let dxr = &mut dx[(r - r0) * d..(r - r0 + 1) * d];
             for j in 0..d {
                 let dxh = g[base + j] * gw[j];
-                dx[base + j] = istd * (dxh - mean_dxhat - xh[base + j] * mean_dxhat_xhat);
+                dxr[j] = istd * (dxh - mean_dxhat - xh[base + j] * mean_dxhat_xhat);
             }
         }
-        vec![
-            Some(NdArray::from_vec(xhat.shape().to_vec(), dx)),
-            Some(NdArray::from_vec(vec![d], dgamma)),
-            Some(NdArray::from_vec(vec![d], dbeta)),
-        ]
+    });
+    (
+        NdArray::from_vec(xhat.shape().to_vec(), dx),
+        NdArray::from_vec(vec![d], sums[..d].to_vec()),
+        NdArray::from_vec(vec![d], sums[d..].to_vec()),
+    )
+}
+
+struct LayerNormOp {
+    xhat: std::cell::RefCell<NdArray>,
+    inv_std: std::cell::RefCell<Vec<f32>>,
+    eps: f32,
+}
+
+impl Op for LayerNormOp {
+    fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
+        debug_assert_eq!(parents.len(), 3, "layer_norm has x, gamma, beta");
+        let (dx, dgamma, dbeta) = layer_norm_bwd(
+            grad,
+            &self.xhat.borrow(),
+            &self.inv_std.borrow(),
+            &parents[1].data(),
+        );
+        vec![Some(dx), Some(dgamma), Some(dbeta)]
     }
     fn name(&self) -> &'static str {
         "layer_norm"
@@ -127,8 +176,9 @@ impl Op for LayerNormOp {
         let _prof = super::fwd_prof("layer_norm", parents[0].len());
         debug_assert_eq!(parents.len(), 3, "layer_norm has x, gamma, beta");
         let d = parents[1].len();
-        let (out, xhat, inv_std) = layer_norm_fwd(
+        let (out, xhat, inv_std) = layer_norm_rows(
             &parents[0].data(),
+            None,
             &parents[1].data(),
             &parents[2].data(),
             self.eps,

@@ -12,13 +12,18 @@
 //! # Determinism safety
 //!
 //! Pooling is invisible to computed values by construction. A buffer leaves
-//! the pool in one of two states only:
+//! the pool in one of three states only:
 //!
 //! 1. **empty** (`len == 0`, via [`take_empty`]) — the caller then fills it
 //!    exclusively through safe `Vec` growth (`push`/`extend`/`resize`), so
-//!    stale contents are never readable; or
+//!    stale contents are never readable;
 //! 2. **fully overwritten** (via [`take_filled`]) — every slot is set to the
-//!    requested fill value before the buffer is handed out.
+//!    requested fill value before the buffer is handed out; or
+//! 3. **to be overwritten** (via [`take_unfilled`]) — length `n` with stale
+//!    (but initialized) contents, for kernels that write every element
+//!    before reading any. Under `--features sanitize` the buffer is poisoned
+//!    with NaN first, so a kernel that reads before writing trips the
+//!    sanitizer at the op that produced it.
 //!
 //! No code path observes recycled bytes, so losses, weights, and rankings
 //! are bitwise identical with the pool on or off — a claim CI enforces by
@@ -166,10 +171,61 @@ fn bucket_for_capacity(capacity: usize) -> usize {
 /// caller must fill it through safe `Vec` growth; recycled contents are
 /// never exposed.
 pub fn take_empty(min_cap: usize) -> Vec<f32> {
-    if min_cap < MIN_POOLED_LEN || min_cap > MAX_POOLED_LEN || !enabled() {
-        return Vec::with_capacity(min_cap);
+    match reuse(min_cap) {
+        Reuse::Hit(mut v) => {
+            v.clear();
+            v
+        }
+        // Allocate the bucket's lower bound so this buffer recycles back
+        // into the bucket it was served from.
+        Reuse::Miss(bucket) => Vec::with_capacity(1usize << bucket),
+        Reuse::Bypass => Vec::with_capacity(min_cap),
     }
-    let bucket = bucket_for_request(min_cap);
+}
+
+/// A buffer of exactly `n` elements whose contents are unspecified: the
+/// caller must write every element before reading any. Saves the fill pass
+/// of [`take_filled`] for kernels that overwrite their whole output.
+///
+/// Contents are always initialized memory — a recycled buffer keeps the
+/// length it was last used at, so only the part it never held is zeroed,
+/// and a miss allocates zeroed memory. Under `--features sanitize` every
+/// slot is NaN instead, so a read before the write surfaces as a non-finite
+/// op output.
+pub fn take_unfilled(n: usize) -> Vec<f32> {
+    let mut v = match reuse(n) {
+        Reuse::Hit(v) => v,
+        // The bucket's capacity, zeroed only up to `n` below (like
+        // `take_filled`), so no page past `n` is touched.
+        Reuse::Miss(bucket) => Vec::with_capacity(1usize << bucket),
+        Reuse::Bypass => Vec::with_capacity(n),
+    };
+    if v.len() >= n {
+        v.truncate(n);
+    } else {
+        v.resize(n, 0.0);
+    }
+    #[cfg(feature = "sanitize")]
+    v.fill(f32::NAN);
+    v
+}
+
+/// Outcome of a free-list lookup for a request of `n` elements.
+enum Reuse {
+    /// A recycled buffer with capacity >= `n` (its length is what its last
+    /// user left).
+    Hit(Vec<f32>),
+    /// Pool-eligible but the bucket (given) was empty.
+    Miss(usize),
+    /// Out of the pooled size range, or the pool is off.
+    Bypass,
+}
+
+fn reuse(n: usize) -> Reuse {
+    if n < MIN_POOLED_LEN || n > MAX_POOLED_LEN || !enabled() {
+        return Reuse::Bypass;
+    }
+    let bucket = bucket_for_request(n);
     let reused = FREE
         .try_with(|f| {
             let mut lists = f.borrow_mut();
@@ -177,17 +233,14 @@ pub fn take_empty(min_cap: usize) -> Vec<f32> {
         })
         .unwrap_or(None);
     match reused {
-        Some(mut v) => {
+        Some(v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_REUSED.fetch_add(4 * min_cap as u64, Ordering::Relaxed);
-            v.clear();
-            v
+            BYTES_REUSED.fetch_add(4 * n as u64, Ordering::Relaxed);
+            Reuse::Hit(v)
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            // Allocate the bucket's lower bound so this buffer recycles
-            // back into the bucket it was served from.
-            Vec::with_capacity(1usize << bucket)
+            Reuse::Miss(bucket)
         }
     }
 }
@@ -308,6 +361,42 @@ mod tests {
         recycle(v);
         let after = stats();
         assert_eq!(after.hits + after.misses, before.hits + before.misses);
+    }
+
+    #[test]
+    fn unfilled_takes_have_the_requested_length() {
+        let _g = lock();
+        set_enabled(true);
+        // A recycled buffer shorter than the request (it last held 40 of
+        // its 64 slots) and a longer one both come back at exactly `n`.
+        let short = take_filled(40, 3.0);
+        recycle(short);
+        let v = take_unfilled(60);
+        assert_eq!(v.len(), 60);
+        recycle(v);
+        let w = take_unfilled(33);
+        assert_eq!(w.len(), 33);
+        recycle(w);
+        // Off-pool sizes and a disabled pool fall through to allocation.
+        assert_eq!(take_unfilled(MIN_POOLED_LEN - 1).len(), MIN_POOLED_LEN - 1);
+        set_enabled(false);
+        assert_eq!(take_unfilled(100).len(), 100);
+        set_enabled(true);
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn unfilled_takes_are_poisoned_under_sanitize() {
+        let _g = lock();
+        set_enabled(true);
+        let v = take_filled(200, 1.0);
+        recycle(v);
+        let hit = take_unfilled(150);
+        assert!(hit.iter().all(|x| x.is_nan()), "recycled take not poisoned");
+        let miss = take_unfilled(1 << 20);
+        assert!(miss.iter().all(|x| x.is_nan()), "fresh take not poisoned");
+        recycle(hit);
+        recycle(miss);
     }
 
     #[test]

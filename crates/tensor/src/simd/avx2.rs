@@ -9,7 +9,9 @@
 //! so results differ from the scalar backend by a few ulps (bounded by
 //! `tests/simd_parity.rs`) but are a pure function of input values and slice
 //! lengths — the per-backend determinism contract. Remainder elements
-//! (`len % 8`) run the scalar expressions.
+//! (`len % 8`) run the scalar expressions, except in the GELU kernels, whose
+//! tails replicate the lane arithmetic exactly (`gelu_lane`), so a GELU
+//! value does not depend on its position in the slice.
 
 use super::AdamCoeffs;
 use crate::simd::scalar;
@@ -93,6 +95,55 @@ unsafe fn fast_tanh256(x: __m256) -> __m256 {
     q = _mm256_fmadd_ps(q, x2, _mm256_set1_ps(2.268_434_6e-3));
     q = _mm256_fmadd_ps(q, x2, _mm256_set1_ps(4.893_525e-3));
     _mm256_div_ps(p, q)
+}
+
+/// One lane of [`fast_tanh256`] in scalar code: the same operations in the
+/// same order, `mul_add` wherever the lanes use `vfmadd`, and the clamp with
+/// `minps`/`maxps` semantics (the second operand unless the first compares
+/// strictly smaller/larger, so NaN clamps to 9). The GELU tails below are
+/// built from it, so a tail element equals the lane value bit for bit and no
+/// output depends on where its row or chunk starts.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fast_tanh_lane(x: f32) -> f32 {
+    let x = if x < 9.0 { x } else { 9.0 };
+    let x = if x > -9.0 { x } else { -9.0 };
+    let x2 = x * x;
+    let mut p = -2.760_768_5e-16f32;
+    p = p.mul_add(x2, 2.000_188e-13);
+    p = p.mul_add(x2, -8.604_672e-11);
+    p = p.mul_add(x2, 5.122_297e-8);
+    p = p.mul_add(x2, 1.485_722_4e-5);
+    p = p.mul_add(x2, 6.372_619e-4);
+    p = p.mul_add(x2, 4.893_525e-3);
+    p *= x;
+    let mut q = 1.198_258_4e-6f32;
+    q = q.mul_add(x2, 1.185_347e-4);
+    q = q.mul_add(x2, 2.268_434_6e-3);
+    q = q.mul_add(x2, 4.893_525e-3);
+    p / q
+}
+
+/// One lane of the 8-wide GELU body in [`gelu_fwd`] / [`bias_gelu`].
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gelu_lane(x: f32) -> f32 {
+    let inner = scalar::GELU_C.mul_add(x * x * x, x);
+    let t = fast_tanh_lane(scalar::SQRT_2_OVER_PI * inner);
+    (0.5 * x) * (1.0 + t)
+}
+
+/// One lane of the 8-wide GELU derivative in [`gelu_bwd`] /
+/// [`bias_gelu_bwd`].
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gelu_grad_lane(x: f32) -> f32 {
+    let xx = x * x;
+    let inner = scalar::GELU_C.mul_add(xx * x, x);
+    let t = fast_tanh_lane(scalar::SQRT_2_OVER_PI * inner);
+    let du = scalar::SQRT_2_OVER_PI * (3.0 * scalar::GELU_C).mul_add(xx, 1.0);
+    let sech2 = (-t).mul_add(t, 1.0);
+    ((0.5 * x) * sech2).mul_add(du, 0.5 * (1.0 + t))
 }
 
 #[target_feature(enable = "avx2,fma")]
@@ -427,7 +478,7 @@ unsafe fn gelu_fwd_impl(src: &[f32], out: &mut [f32]) {
         j += 8;
     }
     while j < n {
-        out[j] = scalar::gelu_scalar(src[j]);
+        out[j] = gelu_lane(src[j]);
         j += 1;
     }
 }
@@ -465,7 +516,7 @@ unsafe fn gelu_bwd_impl(x: &[f32], g: &[f32], out: &mut [f32]) {
         j += 8;
     }
     while j < n {
-        out[j] = g[j] * scalar::gelu_grad_scalar(x[j]);
+        out[j] = g[j] * gelu_grad_lane(x[j]);
         j += 1;
     }
 }
@@ -752,8 +803,9 @@ pub fn adam_update(x: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &A
 #[target_feature(enable = "avx2,fma")]
 unsafe fn bias_gelu_impl(pre: &mut [f32], bias: &[f32], out: &mut [f32]) {
     // Bias add is `vaddps` (bitwise equal to the scalar `+`), then the exact
-    // 8-lane gelu body from [`gelu_fwd`]; with 8-aligned rows the lane
-    // grouping matches a flat [`gelu_fwd`] pass over the biased buffer.
+    // 8-lane gelu body from [`gelu_fwd`], whose tail replicates the lanes:
+    // per row this matches a flat [`gelu_fwd`] pass over the biased buffer
+    // at any width.
     let n = pre.len();
     let (pp, bp, op) = (pre.as_mut_ptr(), bias.as_ptr(), out.as_mut_ptr());
     let sqrt_2_over_pi = _mm256_set1_ps(scalar::SQRT_2_OVER_PI);
@@ -774,7 +826,7 @@ unsafe fn bias_gelu_impl(pre: &mut [f32], bias: &[f32], out: &mut [f32]) {
     while j < n {
         let z = pre[j] + bias[j];
         pre[j] = z;
-        out[j] = scalar::gelu_scalar(z);
+        out[j] = gelu_lane(z);
         j += 1;
     }
 }
@@ -816,7 +868,7 @@ unsafe fn bias_gelu_bwd_impl(z: &[f32], g: &[f32], dpre: &mut [f32], db: &mut [f
         j += 8;
     }
     while j < n {
-        let d = g[j] * scalar::gelu_grad_scalar(z[j]);
+        let d = g[j] * gelu_grad_lane(z[j]);
         dpre[j] = d;
         db[j] += d;
         j += 1;
@@ -975,10 +1027,10 @@ pub fn gate_mix_bwd(
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dropout_mask_impl(
     seed: u64,
+    first: usize,
     keep: f32,
     scale: f32,
     src: &[f32],
-    mask: &mut [f32],
     out: &mut [f32],
 ) {
     // 8 lanes of the murmur3 finalizer over `index ^ seed_lo`, whitened
@@ -986,7 +1038,8 @@ unsafe fn dropout_mask_impl(
     // so every lane equals `scalar::dropout_hash` exactly. The top 24 hash
     // bits convert exactly to f32 (`vcvtdq2ps` on values < 2^24) and the
     // power-of-two scale to [0, 1) is exact, so the keep decision — and
-    // therefore the whole mask — is bitwise identical to the scalar kernel.
+    // therefore the whole output — is bitwise identical to the scalar
+    // kernel, at any `first`.
     let n = src.len();
     let s0 = _mm256_set1_epi32(seed as u32 as i32);
     let s1 = _mm256_set1_epi32((seed >> 32) as u32 as i32);
@@ -995,10 +1048,12 @@ unsafe fn dropout_mask_impl(
     let to_unit = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
     let keepv = _mm256_set1_ps(keep);
     let scalev = _mm256_set1_ps(scale);
-    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     let eight = _mm256_set1_epi32(8);
-    let (sp, mp, op) = (src.as_ptr(), mask.as_mut_ptr(), out.as_mut_ptr());
-    let mut idx = iota;
+    let (sp, op) = (src.as_ptr(), out.as_mut_ptr());
+    let mut idx = _mm256_add_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        _mm256_set1_epi32(first as u32 as i32),
+    );
     let mut j = 0usize;
     while j + 8 <= n {
         let mut x = _mm256_xor_si256(idx, s0);
@@ -1011,30 +1066,22 @@ unsafe fn dropout_mask_impl(
         let u = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(x, 8)), to_unit);
         let kept = _mm256_cmp_ps::<_CMP_LT_OQ>(u, keepv);
         let m = _mm256_and_ps(kept, scalev);
-        _mm256_storeu_ps(mp.add(j), m);
         _mm256_storeu_ps(op.add(j), _mm256_mul_ps(_mm256_loadu_ps(sp.add(j)), m));
         idx = _mm256_add_epi32(idx, eight);
         j += 8;
     }
     let (s0s, s1s) = (seed as u32, (seed >> 32) as u32);
     while j < n {
-        let h = scalar::dropout_hash(j as u32, s0s, s1s);
+        let h = scalar::dropout_hash((first + j) as u32, s0s, s1s);
         let u = (h >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
         let m = ((u < keep) as u32 as f32) * scale;
-        mask[j] = m;
         out[j] = src[j] * m;
         j += 1;
     }
 }
 
-pub fn dropout_mask(
-    seed: u64,
-    keep: f32,
-    scale: f32,
-    src: &[f32],
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
+pub fn dropout_mask(seed: u64, first: usize, keep: f32, scale: f32, src: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(src.len(), out.len(), "dropout src and out match");
     // SAFETY: dispatch verified avx2+fma.
-    unsafe { dropout_mask_impl(seed, keep, scale, src, mask, out) }
+    unsafe { dropout_mask_impl(seed, first, keep, scale, src, out) }
 }

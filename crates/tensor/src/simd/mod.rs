@@ -125,12 +125,13 @@ pub struct Kernels {
     /// addition is associative — so quantized scores never depend on the
     /// `SLIME_SIMD` knob.
     pub dot_i8: fn(&[i8], &[i8]) -> i32,
-    /// Counter-based dropout mask + apply (`(seed, keep, scale, src, mask,
-    /// out)`): a branchless per-index hash replaces the serial
-    /// draw-per-element RNG walk on the fused fast path. Integer hash +
-    /// exact 24-bit float conversion, so like [`Kernels::dot_i8`] the mask
-    /// is bitwise identical across backends.
-    pub dropout_mask: fn(u64, f32, f32, &[f32], &mut [f32], &mut [f32]),
+    /// Counter-based dropout apply (`(seed, first, keep, scale, src, out)`,
+    /// `out[i] = src[i] * mask(seed, first + i)`): a branchless per-index
+    /// hash replaces the serial draw-per-element RNG walk on the fused fast
+    /// path, and `first` lets chunked calls reproduce one whole call.
+    /// Integer hash + exact 24-bit float conversion, so like
+    /// [`Kernels::dot_i8`] the mask is bitwise identical across backends.
+    pub dropout_mask: fn(u64, usize, f32, f32, &[f32], &mut [f32]),
 }
 
 static SCALAR_KERNELS: Kernels = Kernels {

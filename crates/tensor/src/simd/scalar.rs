@@ -350,28 +350,23 @@ pub fn dropout_hash(i: u32, s0: u32, s1: u32) -> u32 {
     x ^ s1
 }
 
-/// Counter-based dropout mask + apply in one branchless pass: element `i`
-/// keeps with probability `keep` iff `hash(i) / 2^24 < keep` (the hash's
-/// top 24 bits as a `[0, 1)` float — the same conversion `Standard for
-/// f32` uses), and survivors are written as `src * scale` with the mask
-/// stored for the backward. One pass, no data-dependent branches, no
-/// serial RNG state — the fused fast path's dropout sampler (the unfused
-/// path keeps the sequential draw-per-element sampler; DESIGN.md §14).
-pub fn dropout_mask(
-    seed: u64,
-    keep: f32,
-    scale: f32,
-    src: &[f32],
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
+/// Counter-based dropout in one branchless pass: element `i` of this call
+/// is global index `first + i`, which keeps with probability `keep` iff
+/// `hash(first + i) / 2^24 < keep` (the hash's top 24 bits as a `[0, 1)`
+/// float — the same conversion `Standard for f32` uses), and is written as
+/// `src[i] * mask` with `mask` either `scale` or 0. No data-dependent
+/// branches and no serial RNG state, so calls over chunks at their offsets
+/// reproduce one whole call bit for bit. The forward applies it to the
+/// input and the backward to the gradient: the mask is regenerated, never
+/// stored (the fused fast path's dropout sampler; DESIGN.md §14).
+pub fn dropout_mask(seed: u64, first: usize, keep: f32, scale: f32, src: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(src.len(), out.len(), "dropout src and out match");
     let s0 = seed as u32;
     let s1 = (seed >> 32) as u32;
     for i in 0..src.len() {
-        let h = dropout_hash(i as u32, s0, s1);
+        let h = dropout_hash((first + i) as u32, s0, s1);
         let u = (h >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
         let m = ((u < keep) as u32 as f32) * scale;
-        mask[i] = m;
         out[i] = src[i] * m;
     }
 }

@@ -25,7 +25,9 @@
 #                        the instrumentation live
 #   6. sanitizer tests   (NaN/Inf attribution under --features sanitize)
 #   7. race sanitizer    slime-par under --features sanitize-race (the
-#                        UnsafeSlice shadow interval log), plus the
+#                        UnsafeSlice shadow interval log), the slime-tensor
+#                        multi-chunk grid test with it armed (the row-wise
+#                        writers at shapes spanning many chunks), plus the
 #                        determinism test with the sanitizer live — the
 #                        shadow log must be bitwise-neutral
 #   8. slime-lint check  (offline purity, op coverage, transitive panic
@@ -118,6 +120,11 @@ cargo test -q -p slime-tensor --features sanitize
 
 echo "==> cargo test -q -p slime-par --features sanitize-race"
 cargo test -q -p slime-par --features sanitize-race
+
+# The determinism matrix's shapes fit in one chunk of the row-wise grids,
+# so the parallel row writers are race-checked here, at multi-chunk shapes.
+echo "==> cargo test -q -p slime-tensor --features sanitize-race --test multi_chunk"
+cargo test -q -p slime-tensor --features sanitize-race --test multi_chunk
 
 # The shadow log observes claims, never payloads: training must stay
 # bitwise identical with the race sanitizer armed.
